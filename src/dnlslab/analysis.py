@@ -26,10 +26,11 @@ from .core import (
     ComplexState,
     LatticeConfig,
     NodeGrid,
+    _validate_mode,
     critical_amplitude,
     node_grid,
 )
-from .errors import DomainError, NoLinearWindow, WavenumberError, WindowTooShort
+from .errors import DomainError, NoLinearWindow, WindowTooShort
 from .timestep import IntegratorSpec, Method, System, Trajectory, integrate
 
 __all__ = [
@@ -60,17 +61,6 @@ GROWTH_WINDOW_HIGH = 1e-3
 # Band membership threshold: absorbs roundoff growth (~1e-16) at the band
 # edge where cos(hq) evaluates to fp noise instead of exact zero.
 BAND_GROWTH_EPS = 1e-12
-
-
-def _validate_mode(K: int, N: int) -> int:
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
-        if isinstance(K, float) and K.is_integer():
-            K = int(K)
-        else:
-            raise WavenumberError(f"mode index must be an integer, got {K!r}")
-    if not (0 <= K <= N / 2):
-        raise WavenumberError(f"mode index must lie in [0, N/2] = [0, {N / 2:g}], got {K}")
-    return int(K)
 
 
 def dispersion_frequency(K: int, cfg: LatticeConfig, A_star: float) -> float:

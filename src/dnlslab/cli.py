@@ -86,11 +86,15 @@ def _first_central_peak(traj, cfg, floor: float) -> float | None:
 
 
 def _gate_record(spec: ScenarioSpec) -> dict:
-    a_star = critical_amplitude(spec.cfg.gamma, spec.cfg.delta)
+    """The solvability gate of the run; ``a_star`` and ``solvable`` are null
+    on lattices without linear gain and nonlinear loss, where no critical
+    amplitude exists."""
+    gamma, delta = spec.cfg.gamma, spec.cfg.delta
+    applicable = gamma > 0 and delta < 0
     return {
         "background": spec.background,
-        "a_star": a_star,
-        "solvable": solvability_gate(spec.background, spec.cfg.gamma, spec.cfg.delta),
+        "a_star": critical_amplitude(gamma, delta) if applicable else None,
+        "solvable": solvability_gate(spec.background, gamma, delta) if applicable else None,
         "tolerance": 1e-9,
     }
 

@@ -253,27 +253,24 @@ def _check_length(values: np.ndarray, cfg: LatticeConfig) -> None:
         raise LengthMismatch(f"state has {values.size} nodes, lattice expects {cfg.N}")
 
 
-def _second_difference(u: np.ndarray, bc: BoundaryKind) -> np.ndarray:
-    """u_{n+1} - 2 u_n + u_{n-1} with the configured boundary closure."""
-    d = np.empty_like(u)
-    d[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    if bc is BoundaryKind.PERIODIC:
-        d[0] = u[1] - 2.0 * u[0] + u[-1]
-        d[-1] = u[0] - 2.0 * u[-1] + u[-2]
-    else:  # out-of-range neighbors are zero
-        d[0] = u[1] - 2.0 * u[0]
-        d[-1] = -2.0 * u[-1] + u[-2]
-    return d
+def _check_closure(cfg: LatticeConfig, required: BoundaryKind, what: str) -> None:
+    if cfg.bc is not required:
+        raise ConfigError(f"{what} runs under {required.value} closure only, got {cfg.bc.value}")
+
+
+def _check_background(A: float) -> None:
+    if not (math.isfinite(A) and A >= 0):
+        raise DomainError(f"background amplitude must be finite and nonnegative, got {A}")
 
 
 def _neighbor_sum(u: np.ndarray, bc: BoundaryKind) -> np.ndarray:
     """u_{n+1} + u_{n-1} with the configured boundary closure."""
     s = np.empty_like(u)
-    s[1:-1] = u[2:] + u[:-2]
+    np.add(u[2:], u[:-2], out=s[1:-1])
     if bc is BoundaryKind.PERIODIC:
         s[0] = u[1] + u[-1]
         s[-1] = u[0] + u[-2]
-    else:
+    else:  # out-of-range neighbors are zero
         s[0] = u[1]
         s[-1] = u[-2]
     return s
@@ -281,39 +278,37 @@ def _neighbor_sum(u: np.ndarray, bc: BoundaryKind) -> np.ndarray:
 
 def laplacian_values(u: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
     _check_length(u, cfg)
-    return cfg.k * _second_difference(u, cfg.bc)
+    return cfg.k * (_neighbor_sum(u, cfg.bc) - 2.0 * u)
 
+
+# The *_rhs_values kernels are the integrator's hot path: each is one
+# neighbour sum plus one complex coefficient array, and none checks its
+# input.  The public wrappers below check closure, length and background on
+# every call; ``timestep.integrate`` checks them once per run.
 
 def dnls_rhs_values(u: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
-    if cfg.bc is not BoundaryKind.PERIODIC:
-        raise ConfigError(
-            "the unshifted gain/loss lattice runs under periodic closure only; "
-            "use shifted_rhs for Dirichlet truncation"
-        )
-    _check_length(u, cfg)
-    lap = cfg.k * _second_difference(u, cfg.bc)
-    cubic = (u.real**2 + u.imag**2) * u
-    return 1j * (lap + cubic) + cfg.gamma * u + cfg.delta * cubic
+    """((delta + i)|u|^2 + gamma - 2ik) u + ik (u_{n+1} + u_{n-1})."""
+    dens = u.real**2 + u.imag**2
+    coef = (cfg.delta + 1j) * dens + (cfg.gamma - 2j * cfg.k)
+    return coef * u + (1j * cfg.k) * _neighbor_sum(u, cfg.bc)
 
 
 def al_rhs_values(phi: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
-    if cfg.bc is not BoundaryKind.PERIODIC:
-        raise ConfigError("the Ablowitz-Ladik lattice runs under periodic closure")
-    _check_length(phi, cfg)
-    s = _neighbor_sum(phi, cfg.bc)
-    return 1j * (cfg.k * (s - 2.0 * phi) + (phi.real**2 + phi.imag**2) * s)
+    """i(k + |phi|^2)(phi_{n+1} + phi_{n-1}) - 2ik phi."""
+    coef = 1j * (cfg.k + (phi.real**2 + phi.imag**2))
+    return coef * _neighbor_sum(phi, cfg.bc) - (2j * cfg.k) * phi
 
 
 def shifted_rhs_values(U: np.ndarray, cfg: LatticeConfig, A: float) -> np.ndarray:
-    if cfg.bc is not BoundaryKind.DIRICHLET_ZERO:
-        raise ConfigError("the background-shifted system runs under Dirichlet closure")
-    if not (math.isfinite(A) and A >= 0):
-        raise DomainError(f"background amplitude must be nonnegative, got {A}")
-    _check_length(U, cfg)
-    lap = cfg.k * _second_difference(U, cfg.bc)
+    """((delta + i)|w|^2 + gamma - iA^2) w + ik(U_{n+1} - 2U_n + U_{n-1}), w = U + A.
+
+    The +i|w|^2 and -iA^2 terms share the coefficient's imaginary part, so
+    they cancel exactly at U == 0.
+    """
     w = U + A
-    density = w.real**2 + w.imag**2
-    return 1j * (lap - A * A * w + density * w) + cfg.gamma * w + cfg.delta * density * w
+    dens = w.real**2 + w.imag**2
+    coef = (cfg.delta + 1j) * dens + (cfg.gamma - 1j * A * A)
+    return coef * w + (1j * cfg.k) * (_neighbor_sum(U, cfg.bc) - 2.0 * U)
 
 
 def discrete_laplacian(state: ComplexState, cfg: LatticeConfig) -> ComplexState:
@@ -323,11 +318,15 @@ def discrete_laplacian(state: ComplexState, cfg: LatticeConfig) -> ComplexState:
 
 def dnls_rhs(state: ComplexState, cfg: LatticeConfig) -> ComplexState:
     """du_n/dt = i[lap(u) + |u_n|^2 u_n] + gamma*u_n + delta*|u_n|^2 u_n."""
+    _check_closure(cfg, BoundaryKind.PERIODIC, "the unshifted gain/loss lattice")
+    _check_length(state.values, cfg)
     return ComplexState(dnls_rhs_values(state.values, cfg), t=state.t)
 
 
 def al_rhs(state: ComplexState, cfg: LatticeConfig) -> ComplexState:
     """dphi_n/dt = i[k(phi_{n+1} - 2phi_n + phi_{n-1}) + |phi_n|^2(phi_{n-1} + phi_{n+1})]."""
+    _check_closure(cfg, BoundaryKind.PERIODIC, "the Ablowitz-Ladik lattice")
+    _check_length(state.values, cfg)
     return ComplexState(al_rhs_values(state.values, cfg), t=state.t)
 
 
@@ -339,6 +338,9 @@ def shifted_rhs(state: ComplexState, cfg: LatticeConfig, A: float) -> ComplexSta
     computational witness of the solvability obstruction when A is off
     the critical amplitude.
     """
+    _check_closure(cfg, BoundaryKind.DIRICHLET_ZERO, "the background-shifted system")
+    _check_background(A)
+    _check_length(state.values, cfg)
     return ComplexState(shifted_rhs_values(state.values, cfg, A), t=state.t)
 
 

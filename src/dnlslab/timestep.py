@@ -5,6 +5,19 @@ Dormand-Prince 5(4) embedded pair (FSAL).  Step-size control for the
 adaptive pair uses the max-norm of the embedded error estimate measured
 against atol + rtol*|state| per node.
 
+The DP54 stepper keeps its seven stage derivatives in one preallocated
+(7, N) complex buffer ``K``; row s is stage s, and row 6, the derivative at
+the accepted 5th-order solution, is copied into row 0 for the next step
+(FSAL).  Read as a (7, 2N) float64 array, with real and imaginary parts
+interleaved, the buffer turns each stage input, the 5th-order update and the
+embedded error into one real dot product with a row of the padded (7, 7)
+tableau ``_DP_A`` (or with ``_DP_E``) scaled by the step size.
+
+The right-hand sides are the unchecked ``*_rhs_values`` kernels of ``core``;
+``integrate`` checks closure, length and background once per run and then
+calls the kernels through this module's names, with positional arguments
+only, on every evaluation.
+
 Trajectories are sampled on multiples of ``sample_every`` (plus the final
 time), never at every internal step; diagnostics are evaluated on the
 sampling grid.  Integration is single-threaded per trajectory; distinct
@@ -22,6 +35,8 @@ from .core import (
     BoundaryKind,
     ComplexState,
     LatticeConfig,
+    _check_background,
+    _check_closure,
     al_rhs_values,
     dnls_rhs_values,
     shifted_rhs_values,
@@ -101,10 +116,6 @@ class Trajectory:
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
     system: System = System.DNLS
 
-    def state_matrix(self) -> np.ndarray:
-        """Samples stacked into an (n_samples, N) complex array."""
-        return np.vstack([s.values for s in self.states])
-
 
 def averaged_power(state: ComplexState) -> float:
     """Per-node mean density (1/N) * sum |u_n|^2."""
@@ -116,18 +127,24 @@ def averaged_power(state: ComplexState) -> float:
 # Steppers
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince 5(4) extended Butcher tableau.  The propagated solution is
-# 5th order; the last row of _DP_A doubles as its quadrature weights (FSAL).
-_DP_A = (
+# Dormand-Prince 5(4) extended Butcher tableau, padded to (7, 7): row s holds
+# the weights of stages 0..s-1 in the input of stage s.  Row 6 is the
+# 5th-order update, whose derivative is stage 6 and the next step's stage 0
+# (FSAL).
+_DP_A = np.zeros((7, 7))
+for _s, _row in enumerate((
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+), start=1):
+    _DP_A[_s, :_s] = _row
 # Coefficients of the embedded 5th-minus-4th order error estimate.
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_DP_E = np.array(
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+)
 
 
 def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
@@ -138,8 +155,7 @@ def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_blowup(y: np.ndarray, t: float) -> None:
-    peak = np.max(np.abs(y))
+def _check_blowup(peak: float, t: float) -> None:
     # NaN compares false, so test finiteness explicitly (fixed steps can
     # overshoot a genuine blow-up straight into overflow).
     if not math.isfinite(peak) or peak > BLOWUP_THRESHOLD:
@@ -166,7 +182,7 @@ def _run_rk4(rhs, y: np.ndarray, sample_times: np.ndarray, dt: float) -> list[np
         for _ in range(nsteps):
             y = _rk4_step(rhs, y, h)
         t = t_target
-        _check_blowup(y, t)
+        _check_blowup(float(np.max(np.abs(y))), t)
         samples.append(y.copy())
     return samples
 
@@ -175,7 +191,13 @@ def _run_dp54(rhs, y: np.ndarray, sample_times: np.ndarray, spec: IntegratorSpec
     samples = [y.copy()]
     t = sample_times[0]
     h_prop = spec.dt
-    k1 = rhs(y)
+    K = np.empty((7, y.size), dtype=np.complex128)
+    Kr = K.view(np.float64)  # stage s is row s, real and imaginary parts interleaved
+    hA = np.empty_like(_DP_A)
+    # (weights, stages) views fixed for the run; each stage sum is one dot
+    stage_sums = [(hA[s, :s], Kr[:s]) for s in range(1, 7)]
+    K[0] = rhs(y)
+    scale = spec.atol + spec.rtol * np.abs(y)
     for t_target in sample_times[1:]:
         while t < t_target - 1e-12 * max(1.0, abs(t_target)):
             clamped = h_prop > (t_target - t)
@@ -190,26 +212,23 @@ def _run_dp54(rhs, y: np.ndarray, sample_times: np.ndarray, spec: IntegratorSpec
                     )
                 raise StepFailure(f"step size underflowed below {MIN_STEP:g} at t = {t:.6g}")
 
-            k2 = rhs(y + h * (_DP_A[0][0] * k1))
-            k3 = rhs(y + h * (_DP_A[1][0] * k1 + _DP_A[1][1] * k2))
-            k4 = rhs(y + h * (_DP_A[2][0] * k1 + _DP_A[2][1] * k2 + _DP_A[2][2] * k3))
-            k5 = rhs(y + h * (_DP_A[3][0] * k1 + _DP_A[3][1] * k2 + _DP_A[3][2] * k3
-                              + _DP_A[3][3] * k4))
-            k6 = rhs(y + h * (_DP_A[4][0] * k1 + _DP_A[4][1] * k2 + _DP_A[4][2] * k3
-                              + _DP_A[4][3] * k4 + _DP_A[4][4] * k5))
-            y_new = y + h * (_DP_A[5][0] * k1 + _DP_A[5][2] * k3 + _DP_A[5][3] * k4
-                             + _DP_A[5][4] * k5 + _DP_A[5][5] * k6)
-            k7 = rhs(y_new)
-            err = h * (_DP_E[0] * k1 + _DP_E[2] * k3 + _DP_E[3] * k4
-                       + _DP_E[4] * k5 + _DP_E[5] * k6 + _DP_E[6] * k7)
+            np.multiply(_DP_A, h, out=hA)
+            for s, (w, ks) in enumerate(stage_sums[:5], start=1):
+                K[s] = rhs(y + np.dot(w, ks).view(np.complex128))
+            w, ks = stage_sums[5]
+            y_new = y + np.dot(w, ks).view(np.complex128)
+            K[6] = rhs(y_new)
+            err = np.dot(h * _DP_E, Kr).view(np.complex128)
 
-            scale = spec.atol + spec.rtol * np.abs(y)
-            ratio = float(np.max(np.abs(err) / scale))
+            ratio = float((np.abs(err) / scale).max())
+            abs_new = np.abs(y_new)
+            peak = float(abs_new.max())
             if ratio <= 1.0:
                 t += h
                 y = y_new
-                k1 = k7  # FSAL
-                _check_blowup(y, t)
+                K[0] = K[6]  # FSAL
+                _check_blowup(peak, t)
+                scale = spec.atol + spec.rtol * abs_new
                 factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
                 grown = h * factor
                 # A boundary-clamped step must not talk the controller down.
@@ -217,7 +236,6 @@ def _run_dp54(rhs, y: np.ndarray, sample_times: np.ndarray, spec: IntegratorSpec
             else:
                 # A rejected trial that lands finitely beyond the guard is a
                 # genuine collapse, not a tolerance problem.
-                peak = float(np.max(np.abs(y_new)))
                 if math.isfinite(peak) and peak > BLOWUP_THRESHOLD:
                     raise BlowUpDetected(
                         f"node modulus exceeded {BLOWUP_THRESHOLD:g} at t = {t:.6g}"
@@ -251,19 +269,20 @@ def integrate(
     if len(ic) != cfg.N:
         raise LengthMismatch(f"initial state has {len(ic)} nodes, lattice expects {cfg.N}")
 
+    # The *_rhs_values kernels check nothing, so closure and background are
+    # checked here, once.  The kernels are looked up in this module on every
+    # evaluation and called with positional arguments only.
     if system is System.DNLS:
-        if cfg.bc is not BoundaryKind.PERIODIC:
-            raise ConfigError("the unshifted gain/loss lattice integrates under periodic closure")
+        _check_closure(cfg, BoundaryKind.PERIODIC, "the unshifted gain/loss lattice")
         rhs = lambda y: dnls_rhs_values(y, cfg)
     elif system is System.AL:
-        if cfg.bc is not BoundaryKind.PERIODIC:
-            raise ConfigError("the Ablowitz-Ladik lattice integrates under periodic closure")
+        _check_closure(cfg, BoundaryKind.PERIODIC, "the Ablowitz-Ladik lattice")
         rhs = lambda y: al_rhs_values(y, cfg)
     elif system is System.SHIFTED:
         if background is None:
             raise ConfigError("the shifted system requires the background amplitude")
-        if cfg.bc is not BoundaryKind.DIRICHLET_ZERO:
-            raise ConfigError("the shifted system integrates under Dirichlet closure")
+        _check_background(background)
+        _check_closure(cfg, BoundaryKind.DIRICHLET_ZERO, "the background-shifted system")
         rhs = lambda y: shifted_rhs_values(y, cfg, background)
     else:
         raise ConfigError(f"unknown system: {system!r}")

@@ -88,6 +88,21 @@ class TestSimulate:
         assert (out_dir / "density.csv").exists()
         assert (out_dir / "spectrum.csv").exists()
 
+    def test_scenario_file_without_gain_loss(self, tmp_path):
+        # no critical amplitude exists, so the gate is recorded as not applicable
+        cfgfile = tmp_path / "conservative.cfg"
+        cfgfile.write_text(
+            "L = 25\nN = 50\ngamma = 0\ndelta = 0\nic = planewave\n"
+            "amplitude = 1\nperturbation = 0.5\nmode = 20\nt_end = 2\n"
+            "sample_every = 0.5\noutputs = densities\n"
+        )
+        assert main(["simulate", "--scenario", str(cfgfile), "--smoke",
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "conservative" / "manifest.json").read_text())
+        assert manifest["gate"]["a_star"] is None
+        assert manifest["gate"]["solvable"] is None
+        assert manifest["products"] == ["density.csv"]
+
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["simulate", "--scenario", "fig99"]) == 2
         assert "error" in capsys.readouterr().err

@@ -14,16 +14,19 @@ from dnlslab.core import (
     PlaneWaveIC,
     SechBumpIC,
     al_rhs,
+    al_rhs_values,
     central_node_index,
     critical_amplitude,
     discrete_laplacian,
     dnls_rhs,
+    dnls_rhs_values,
     generalized_gate,
     lattice_norm,
     make_initial_condition,
     node_grid,
     sech,
     shifted_rhs,
+    shifted_rhs_values,
     solvability_gate,
 )
 from dnlslab.errors import (
@@ -281,6 +284,76 @@ class TestShiftedRhs:
     def test_rejects_periodic_closure(self, cfg100):
         with pytest.raises(ConfigError):
             shifted_rhs(ComplexState(np.zeros(100, dtype=complex)), cfg100, 1.0)
+
+
+class TestFusedKernelsAgainstTextbookFormulas:
+    """The *_rhs_values kernels against the equations as written, with the
+    neighbours taken by np.roll (zeroed at the ends under Dirichlet closure)."""
+
+    @staticmethod
+    def _neighbors(u, bc):
+        right, left = np.roll(u, -1), np.roll(u, 1)
+        if bc is BoundaryKind.DIRICHLET_ZERO:
+            right[-1] = 0.0
+            left[0] = 0.0
+        return right, left
+
+    @staticmethod
+    def _state(N, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(N) + 1j * rng.standard_normal(N)
+
+    @staticmethod
+    def _assert_close(out, ref):
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [64, 400])
+    def test_dnls(self, N):
+        cfg = LatticeConfig(L=N / 4, N=N, gamma=0.7, delta=-1.3)
+        u = self._state(N, 1)
+        right, left = self._neighbors(u, cfg.bc)
+        lap = cfg.k * (right - 2.0 * u + left)
+        cubic = np.abs(u) ** 2 * u
+        ref = 1j * (lap + cubic) + cfg.gamma * u + cfg.delta * cubic
+        self._assert_close(dnls_rhs_values(u, cfg), ref)
+
+    @pytest.mark.parametrize("N", [64, 400])
+    def test_al(self, N):
+        cfg = LatticeConfig(L=N / 4, N=N, gamma=0.7, delta=-1.3)
+        phi = self._state(N, 2)
+        right, left = self._neighbors(phi, cfg.bc)
+        ref = 1j * (cfg.k * (right - 2.0 * phi + left) + np.abs(phi) ** 2 * (left + right))
+        self._assert_close(al_rhs_values(phi, cfg), ref)
+
+    @pytest.mark.parametrize("N", [64, 400])
+    def test_shifted(self, N):
+        cfg = LatticeConfig(L=N / 4, N=N, gamma=0.7, delta=-1.3,
+                            bc=BoundaryKind.DIRICHLET_ZERO)
+        A = 0.6
+        U = self._state(N, 3)
+        right, left = self._neighbors(U, cfg.bc)
+        lap = cfg.k * (right - 2.0 * U + left)
+        w = U + A
+        dens = np.abs(w) ** 2
+        ref = (1j * (lap - A * A * w + dens * w)
+               + cfg.gamma * w + cfg.delta * dens * w)
+        self._assert_close(shifted_rhs_values(U, cfg, A), ref)
+
+
+class TestPublicWrappersValidate:
+    def test_length_mismatch(self, cfg100, cfg100_dirichlet):
+        short = ComplexState(np.ones(64, dtype=complex))
+        with pytest.raises(LengthMismatch):
+            dnls_rhs(short, cfg100)
+        with pytest.raises(LengthMismatch):
+            al_rhs(short, cfg100)
+        with pytest.raises(LengthMismatch):
+            shifted_rhs(short, cfg100_dirichlet, 0.5)
+
+    @pytest.mark.parametrize("A", [-0.5, math.nan, math.inf])
+    def test_shifted_rejects_bad_background(self, cfg100_dirichlet, A):
+        with pytest.raises(DomainError):
+            shifted_rhs(ComplexState(np.zeros(100, dtype=complex)), cfg100_dirichlet, A)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from dnlslab.core import (
     node_grid,
 )
 from dnlslab.analysis import plane_wave_family, plane_wave_exact
+from dnlslab import timestep
 from dnlslab.errors import (
     BlowUpDetected,
     ConfigError,
+    DomainError,
     LengthMismatch,
     NeedThreeSamples,
     StepFailure,
@@ -128,6 +130,66 @@ class TestIntegrate:
         spec = IntegratorSpec(t_end=1.0, sample_every=1.0)
         with pytest.raises(StepFailure):
             _run_dp54(lambda y: np.full_like(y, np.nan), y0, np.array([0.0, 1.0]), spec)
+
+
+_HOOKS = [
+    (System.DNLS, "dnls_rhs_values", BoundaryKind.PERIODIC),
+    (System.AL, "al_rhs_values", BoundaryKind.PERIODIC),
+    (System.SHIFTED, "shifted_rhs_values", BoundaryKind.DIRICHLET_ZERO),
+]
+
+
+def _count_hook(monkeypatch, name):
+    """Replace timestep.<name> by a positional-only counter around it."""
+    calls = []
+    original = getattr(timestep, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(timestep, name, counted)
+    return calls
+
+
+class TestRhsHooks:
+    """integrate evaluates the RHS only through timestep's module names, so
+    a wrapper installed there sees every evaluation."""
+
+    @staticmethod
+    def _run(system, bc, spec):
+        cfg = LatticeConfig(L=16.0, N=32, gamma=0.5, delta=-0.5, bc=bc)
+        ic = make_initial_condition(AlgebraicBumpIC(0.2, 0.3, 1.0, 1.0), cfg)
+        return integrate(system, ic, cfg, spec, background=0.5)
+
+    @pytest.mark.parametrize("system,name,bc", _HOOKS)
+    def test_rk4_evaluations_all_pass_the_hook(self, monkeypatch, system, name, bc):
+        calls = _count_hook(monkeypatch, name)
+        # 2 samples of 5 steps each, 4 evaluations per step
+        spec = IntegratorSpec(t_end=1.0, method=Method.RK4_FIXED, dt=0.1, sample_every=0.5)
+        self._run(system, bc, spec)
+        assert len(calls) == 2 * 5 * 4
+
+    @pytest.mark.parametrize("system,name,bc", _HOOKS)
+    def test_dp54_evaluations_all_pass_the_hook(self, monkeypatch, system, name, bc):
+        spec = IntegratorSpec(t_end=1.0, sample_every=0.5)
+        plain = self._run(system, bc, spec)
+        calls = _count_hook(monkeypatch, name)
+        hooked = self._run(system, bc, spec)
+        # one evaluation before the first step, then six per trial step (FSAL)
+        assert len(calls) > 1 and (len(calls) - 1) % 6 == 0
+        for a, b in zip(plain.states, hooked.states):
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("background", [-0.5, math.nan, math.inf])
+    def test_bad_background_rejected_before_any_evaluation(self, monkeypatch, background):
+        calls = _count_hook(monkeypatch, "shifted_rhs_values")
+        cfg = LatticeConfig(L=16.0, N=32, gamma=0.5, delta=-0.5,
+                            bc=BoundaryKind.DIRICHLET_ZERO)
+        ic = ComplexState(np.zeros(32, dtype=complex))
+        with pytest.raises(DomainError):
+            integrate(System.SHIFTED, ic, cfg, IntegratorSpec(t_end=1.0), background=background)
+        assert calls == []
 
 
 class TestOrderAndTolerance:
