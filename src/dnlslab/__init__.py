@@ -14,6 +14,7 @@ from .core import (
     NodeGrid,
     PlaneWaveIC,
     SechBumpIC,
+    al_invariant,
     al_rhs,
     central_node_index,
     critical_amplitude,
@@ -59,7 +60,6 @@ from .proximity import (
     DpsParams,
     ProximityReport,
     SmallnessCheck,
-    al_invariant,
     al_norm_bound,
     build_proximity_report,
     distance_curves,

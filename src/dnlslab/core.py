@@ -42,6 +42,7 @@ __all__ = [
     "node_grid",
     "central_node_index",
     "lattice_norm",
+    "al_invariant",
     "critical_amplitude",
     "solvability_gate",
     "generalized_gate",
@@ -159,6 +160,12 @@ def central_node_index(cfg: LatticeConfig) -> int:
 def lattice_norm(values: np.ndarray, cfg: LatticeConfig) -> float:
     """Spacing-weighted l2 norm, (h * sum |v_n|^2)^(1/2)."""
     return math.sqrt(cfg.h) * float(np.linalg.norm(values))
+
+
+def al_invariant(state: ComplexState, cfg: LatticeConfig) -> float:
+    """Conserved quantity h * sum ln(1 + |phi_n|^2) of the integrable lattice."""
+    v = state.values
+    return cfg.h * float(np.sum(np.log1p(v.real**2 + v.imag**2)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.integrate import quad
 
-from .core import ComplexState, LatticeConfig, NodeGrid, critical_amplitude, lattice_norm, node_grid
+from .core import (ComplexState, LatticeConfig, NodeGrid, al_invariant, critical_amplitude,
+                   lattice_norm, node_grid)
 from .errors import ConfigError, DomainError, GridMismatch, HypothesisViolated
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,7 +35,6 @@ __all__ = [
     "distance_curves",
     "estimate_II_rate",
     "estimate_I_curve",
-    "estimate_I_closed_forms",
     "smallness_condition",
     "build_proximity_report",
 ]
@@ -78,12 +78,6 @@ def dps_eval(grid: NodeGrid, t: float, params: DpsParams) -> ComplexState:
     denom = 1.0 + 4.0 * q2 * x * x + 16.0 * q2 * q2 * (1.0 + q2) * tau * tau
     values = q * (1.0 - numer / denom) * np.exp(2j * q2 * tau)
     return ComplexState(values, t=t)
-
-
-def al_invariant(state: ComplexState, cfg: LatticeConfig) -> float:
-    """Conserved quantity h * sum ln(1 + |phi_n|^2) of the integrable lattice."""
-    v = state.values
-    return cfg.h * float(np.sum(np.log1p(v.real**2 + v.imag**2)))
 
 
 def al_norm_bound(N0: float, cfg: LatticeConfig) -> float:
@@ -181,7 +175,6 @@ def estimate_I_curve(
     N0: float,
     times: np.ndarray,
     initial_distance: float = 0.0,
-    n0_over_h: bool = False,
 ) -> np.ndarray:
     """Quadrature form of the distance envelope:
 
@@ -191,9 +184,7 @@ def estimate_I_curve(
 
     valid under the hypothesis nu*gamma > beta, i.e. the gain/loss run must
     start below the critical averaged power.  F1, F2 are accumulated by
-    adaptive quadrature over the sample intervals.  ``n0_over_h`` switches
-    the tail exponent to N0/h (the scaling used by the linear envelope);
-    the two variants coincide at unit spacing.
+    adaptive quadrature over the sample intervals.
     """
     if not (gamma > 0 and delta < 0):
         raise DomainError("the distance envelopes require gamma > 0 and delta < 0")
@@ -227,41 +218,8 @@ def estimate_I_curve(
         f1[i] = acc1
         f2[i] = acc2
 
-    expo = N0 / cfg.h if n0_over_h else N0
-    tail_coeff = math.inf if expo > _EXP_CLAMP else 2.0 * math.expm1(expo) ** 1.5
+    tail_coeff = math.inf if N0 > _EXP_CLAMP else 2.0 * math.expm1(N0) ** 1.5
     return initial_distance + gamma * f1 + math.sqrt(delta * delta + 1.0) * f2 + tail_coeff * times
-
-
-def estimate_I_closed_forms(
-    cfg: LatticeConfig,
-    gamma: float,
-    delta: float,
-    u0_norm_sq: float,
-    times: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Printed antiderivative forms of F1 and F2, for cross-checking only.
-
-    The F2 form matches the quadrature; the printed F1 form is negative near
-    t = 0 (it does not satisfy F1(0) = 0) and is therefore untrusted.  The
-    quadrature in ``estimate_I_curve`` is the authoritative implementation.
-    """
-    B, nu, beta = _power_envelope(cfg, gamma, delta, u0_norm_sq)
-    if nu * gamma <= beta:
-        raise HypothesisViolated("closed forms need nu*gamma > beta")
-    t = np.asarray(times, dtype=np.float64)
-    sb, sg = math.sqrt(beta), math.sqrt(gamma)
-    f1 = (1.0 / (sb * sg)) * np.log(
-        (math.sqrt(gamma * nu) - sb)
-        / (sb * np.exp(-gamma * t) + np.sqrt((np.exp(2.0 * gamma * t) - 1.0) * beta + gamma * nu))
-    )
-    root = math.sqrt(nu * gamma - beta)
-    f2 = (1.0 / beta**1.5) * (
-        sg * np.arcsinh(sb * np.exp(gamma * t) / root)
-        - sb * sg * np.exp(gamma * t) / np.sqrt(beta * (np.exp(2.0 * gamma * t) - 1.0) + gamma * nu)
-        - sg * math.asinh(sb / root)
-        + sb / math.sqrt(nu)
-    )
-    return f1, f2
 
 
 @dataclass(frozen=True)
@@ -313,7 +271,6 @@ class ProximityReport:
     window: tuple[float, float]
     N_r: int
     initial_distance: float
-    bound_I_scaled: np.ndarray | None = None  # tail exponent N0/h variant
 
 
 def build_proximity_report(
@@ -338,13 +295,8 @@ def build_proximity_report(
         bound_i = estimate_I_curve(
             cfg, cfg.gamma, cfg.delta, u0_norm_sq, n0, rel_times, initial_distance
         ) / scale
-        bound_i_scaled = estimate_I_curve(
-            cfg, cfg.gamma, cfg.delta, u0_norm_sq, n0, rel_times, initial_distance,
-            n0_over_h=True,
-        ) / scale
     except HypothesisViolated:
         bound_i = None
-        bound_i_scaled = None
     return ProximityReport(
         times=times,
         D_a=d_a,
@@ -357,5 +309,4 @@ def build_proximity_report(
         window=window,
         N_r=n_r,
         initial_distance=initial_distance,
-        bound_I_scaled=bound_i_scaled,
     )

@@ -82,6 +82,9 @@ class ScenarioSpec:
                 raise ValidationError(f"unknown output product {out!r}")
         if "proximity" in self.outputs and set(self.systems) != {System.DNLS, System.AL}:
             raise ValidationError("the proximity product needs paired dnls and al runs")
+        for out in ("mi_scan", "proximity"):
+            if out in self.outputs and not (self.cfg.gamma > 0 and self.cfg.delta < 0):
+                raise ValidationError(f"the {out} product needs gamma > 0 and delta < 0")
         if "phase_plane" in self.outputs and self.cfg.N % 2 != 0:
             raise ValidationError("phase-plane tracking needs an even node count")
         if self.noise_amp < 0:

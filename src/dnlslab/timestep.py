@@ -37,6 +37,7 @@ from .core import (
     LatticeConfig,
     _check_background,
     _check_closure,
+    al_invariant,
     al_rhs_values,
     dnls_rhs_values,
     shifted_rhs_values,
@@ -249,10 +250,6 @@ def _run_dp54(rhs, y: np.ndarray, sample_times: np.ndarray, spec: IntegratorSpec
 # Public driver
 # ---------------------------------------------------------------------------
 
-def _al_conserved(values: np.ndarray, h: float) -> float:
-    return h * float(np.sum(np.log1p(values.real**2 + values.imag**2)))
-
-
 def integrate(
     system: System,
     ic: ComplexState,
@@ -299,9 +296,7 @@ def integrate(
         "P_a": np.array([averaged_power(s) for s in states])
     }
     if system is System.AL:
-        diagnostics["al_invariant"] = np.array(
-            [_al_conserved(s.values, cfg.h) for s in states]
-        )
+        diagnostics["al_invariant"] = np.array([al_invariant(s, cfg) for s in states])
     traj = Trajectory(times=sample_times, states=states, diagnostics=diagnostics, system=system)
     if system is System.DNLS and len(states) >= 3:
         diagnostics["balance_residual"] = power_balance_residual(traj, cfg)

@@ -103,6 +103,21 @@ class TestSimulate:
         assert manifest["gate"]["solvable"] is None
         assert manifest["products"] == ["density.csv"]
 
+    @pytest.mark.parametrize("product", ["mi_scan", "proximity"])
+    def test_gain_loss_product_without_gain_loss_rejected_at_load(
+        self, tmp_path, capsys, product
+    ):
+        cfgfile = tmp_path / "conservative.cfg"
+        cfgfile.write_text(
+            "L = 25\nN = 50\ngamma = 0\ndelta = 0\nsystems = dnls, al\n"
+            "ic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+            f"t_end = 2\nsample_every = 0.5\noutputs = densities, {product}\n"
+        )
+        out_root = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
+        assert "gamma > 0 and delta < 0" in capsys.readouterr().err
+        assert not (out_root / "conservative").exists()
+
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["simulate", "--scenario", "fig99"]) == 2
         assert "error" in capsys.readouterr().err

@@ -1,0 +1,91 @@
+"""CSV number format: the block writer against the per-value formatting rules."""
+import math
+
+import numpy as np
+import pytest
+
+from dnlslab.analysis import spectrum
+from dnlslab.core import (
+    LatticeConfig,
+    PlaneWaveIC,
+    central_node_index,
+    make_initial_condition,
+    node_grid,
+)
+from dnlslab.products import (
+    _write_table,
+    write_center_density_csv,
+    write_density_csv,
+    write_spectrum_csv,
+)
+from dnlslab.proximity import DpsParams, dps_eval
+from dnlslab.timestep import IntegratorSpec, System, integrate
+
+
+def _fmt(value) -> str:
+    """Per-value formatting rules, the oracle for the block writer: integers
+    print as themselves, everything else with 17 significant digits."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _oracle_text(header, rows) -> str:
+    return "".join([",".join(header) + "\n"] + [",".join(_fmt(v) for v in row) + "\n"
+                                                for row in rows])
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+           1e300, -1e300, 0.1]
+
+
+def test_float_columns_match_the_rules(tmp_path):
+    block = np.array([SPECIAL, SPECIAL[::-1], np.roll(SPECIAL, 3)]).T
+    path = tmp_path / "t.csv"
+    _write_table(path, ("a", "b", "c"), "%.17g,%.17g,%.17g", [block[:4], block[4:]])
+    assert path.read_text() == _oracle_text(("a", "b", "c"), block)
+
+
+def test_integer_columns_match_the_rules(tmp_path):
+    n = 401
+    rows = [(k, m, g) for k in (0, n - 1) for m, g in enumerate(np.linspace(-1.0, 1.0, n))]
+    blocks = [np.array(rows[:n], dtype=np.float64), np.array(rows[n:], dtype=np.float64)]
+    path = tmp_path / "t.csv"
+    _write_table(path, ("K", "M", "growth"), "%d,%d,%.17g", blocks)
+    assert path.read_text() == _oracle_text(("K", "M", "growth"), rows)
+
+
+def test_no_blocks_is_header_only(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_table(path, ("t", "x", "density"), "%.17g,%.17g,%.17g", [])
+    assert path.read_text() == "t,x,density\n"
+
+
+@pytest.fixture(scope="module")
+def short_run():
+    cfg = LatticeConfig(L=25.0, N=50, gamma=1.5, delta=-1.5)
+    ic = make_initial_condition(PlaneWaveIC(1.0, 0.5, 20), cfg)
+    return cfg, integrate(System.DNLS, ic, cfg, IntegratorSpec(t_end=1.0, sample_every=0.01))
+
+
+def test_field_writers_match_the_rules(tmp_path, short_run):
+    cfg, traj = short_run
+    x = node_grid(cfg).x
+    idx = central_node_index(cfg)
+    ref = DpsParams(q=0.5, t0=0.5)
+    density_rows = [(t, xn, d) for t, s in zip(traj.times, traj.states)
+                    for xn, d in zip(x, s.values.real**2 + s.values.imag**2)]
+    spectrum_rows = [(f.t, k, m) for f in (spectrum(s, cfg) for s in traj.states)
+                     for k, m in enumerate(np.abs(f.coeffs))]
+    center_rows = [(t, abs(s.values[idx]) ** 2,
+                    abs(dps_eval(node_grid(cfg), float(t), ref).values[idx]) ** 2)
+                   for t, s in zip(traj.times, traj.states)]
+
+    write_density_csv(tmp_path / "d.csv", traj, cfg)
+    write_spectrum_csv(tmp_path / "s.csv", traj, cfg)
+    write_center_density_csv(tmp_path / "c.csv", traj, cfg, ref)
+    assert (tmp_path / "d.csv").read_text() == _oracle_text(("t", "x", "density"), density_rows)
+    assert (tmp_path / "s.csv").read_text() == _oracle_text(("t", "K", "abs_coeff"),
+                                                            spectrum_rows)
+    assert (tmp_path / "c.csv").read_text() == _oracle_text(("t", "density", "dps_density"),
+                                                            center_rows)
