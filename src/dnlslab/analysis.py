@@ -211,10 +211,13 @@ def mi_scan(K: int, cfg: LatticeConfig, A_star: float, delta: float) -> MIScan:
     q = K * math.pi / cfg.L
     Ms = np.arange(0, cfg.N // 2 + 1)
     Qs = Ms * math.pi / cfg.L
-    growth = np.empty(Ms.size)
-    for i, Q in enumerate(Qs):
-        lam_p, lam_m = mi_roots(q, float(Q), cfg, A_star, delta)
-        growth[i] = max(lam_p.imag, lam_m.imag)
+    # mi_roots over all sidebands at once, in its order of operations: the
+    # larger imaginary part is delta A_*^2 + sqrt(max(-radicand, 0)).  fmax,
+    # not maximum, because mi_roots takes a nan radicand as nonnegative.
+    a2 = A_star * A_star
+    gam = 4.0 * cfg.k * np.sin(0.5 * cfg.h * Qs) ** 2 * math.cos(cfg.h * q)
+    radicand = gam * (gam - 2.0 * a2) - (delta * a2) ** 2
+    growth = delta * a2 + np.sqrt(np.fmax(-radicand, 0.0))
     band = frozenset(int(m) for m, g in zip(Ms, growth) if g > BAND_GROWTH_EPS)
     carrier_unstable = math.cos(cfg.h * q) > 0.0 and bool(band)
     return MIScan(K=K, q=q, Qs=Qs, growth=growth,

@@ -94,6 +94,9 @@ class IntegratorSpec:
     sample_every: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("dt", "rtol", "atol", "sample_every"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.dt > 0):
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not (self.rtol > 0 and self.atol > 0):

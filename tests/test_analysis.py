@@ -216,6 +216,19 @@ class TestMiScan:
         assert scan.growth[0] == 0.0
         assert np.all(np.isfinite(scan.growth))
 
+    @pytest.mark.parametrize("L, N, gamma, delta", [(50.0, 100, 1.5, -1.5),
+                                                    (37.0, 400, 1.2, -0.7)])
+    def test_equals_mi_roots_bit_for_bit(self, L, N, gamma, delta):
+        # the vectorised scan keeps mi_roots' arithmetic, so no value may move
+        cfg = LatticeConfig(L=L, N=N, gamma=gamma, delta=delta)
+        a_star = critical_amplitude(cfg.gamma, cfg.delta)
+        for K in range(N // 2 + 1):
+            scan = mi_scan(K, cfg, a_star, cfg.delta)
+            expected = [max(lam.imag for lam in mi_roots(scan.q, float(Q), cfg, a_star,
+                                                         cfg.delta))
+                        for Q in scan.Qs]
+            assert scan.growth.tobytes() == np.array(expected).tobytes(), K
+
     def test_instability_characterization(self, cfg):
         # growth > 0 iff Gamma(Gamma - 2 A_*^2) < 0, pointwise across the scan
         for K in (3, 8, 20, 30, 45):

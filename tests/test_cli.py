@@ -118,6 +118,20 @@ class TestSimulate:
         assert "gamma > 0 and delta < 0" in capsys.readouterr().err
         assert not (out_root / "conservative").exists()
 
+    @pytest.mark.parametrize("setting", ["sample_every = nan", "sample_every = inf",
+                                         "atol = inf", "rtol = inf", "dt = inf"])
+    def test_non_finite_integrator_setting_rejected_at_load(self, tmp_path, capsys, setting):
+        cfgfile = tmp_path / "planewave.cfg"
+        cfgfile.write_text(
+            "L = 50\nN = 100\ngamma = 1.5\ndelta = -1.5\nic = planewave\n"
+            "amplitude = 1\nperturbation = 0.5\nmode = 20\nt_end = 1\n"
+            f"outputs = densities\n{setting}\n"
+        )
+        out_root = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out_root / "planewave").exists()
+
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["simulate", "--scenario", "fig99"]) == 2
         assert "error" in capsys.readouterr().err

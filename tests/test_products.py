@@ -1,10 +1,11 @@
-"""CSV number format: the block writer against the per-value formatting rules."""
+"""CSV number format: the table and long-format writers against the per-value
+formatting rules."""
 import math
 
 import numpy as np
 import pytest
 
-from dnlslab.analysis import spectrum
+from dnlslab.analysis import mi_scan, spectrum
 from dnlslab.core import (
     LatticeConfig,
     PlaneWaveIC,
@@ -13,9 +14,11 @@ from dnlslab.core import (
     node_grid,
 )
 from dnlslab.products import (
+    _write_long,
     _write_table,
     write_center_density_csv,
     write_density_csv,
+    write_mi_scan_csv,
     write_spectrum_csv,
 )
 from dnlslab.proximity import DpsParams, dps_eval
@@ -42,23 +45,57 @@ SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e
 def test_float_columns_match_the_rules(tmp_path):
     block = np.array([SPECIAL, SPECIAL[::-1], np.roll(SPECIAL, 3)]).T
     path = tmp_path / "t.csv"
-    _write_table(path, ("a", "b", "c"), "%.17g,%.17g,%.17g", [block[:4], block[4:]])
+    _write_table(path, ("a", "b", "c"), "%.17g,%.17g,%.17g", block)
     assert path.read_text() == _oracle_text(("a", "b", "c"), block)
 
 
 def test_integer_columns_match_the_rules(tmp_path):
     n = 401
     rows = [(k, m, g) for k in (0, n - 1) for m, g in enumerate(np.linspace(-1.0, 1.0, n))]
-    blocks = [np.array(rows[:n], dtype=np.float64), np.array(rows[n:], dtype=np.float64)]
     path = tmp_path / "t.csv"
-    _write_table(path, ("K", "M", "growth"), "%d,%d,%.17g", blocks)
+    _write_table(path, ("K", "M", "growth"), "%d,%d,%.17g", np.array(rows, dtype=np.float64))
     assert path.read_text() == _oracle_text(("K", "M", "growth"), rows)
 
 
 def test_no_blocks_is_header_only(tmp_path):
     path = tmp_path / "t.csv"
-    _write_table(path, ("t", "x", "density"), "%.17g,%.17g,%.17g", [])
+    _write_table(path, ("t", "x", "density"), "%.17g,%.17g,%.17g", np.empty((0, 3)))
     assert path.read_text() == "t,x,density\n"
+
+
+def test_long_value_column_matches_the_rules(tmp_path):
+    keys = np.array([-0.0, 5e-324, 1e300, 0.1])
+    leads = [-0.0, 5e-324, 1e300]
+    values = np.array(SPECIAL + SPECIAL[:2]).reshape(3, 4)
+    path = tmp_path / "t.csv"
+    _write_long(path, ("t", "x", "density"), "%.17g,%.17g,%.17g", keys, zip(leads, values))
+    rows = [(t, x, v) for t, vs in zip(leads, values) for x, v in zip(keys, vs)]
+    assert path.read_text() == _oracle_text(("t", "x", "density"), rows)
+
+
+def test_long_integer_keys_match_the_rules(tmp_path):
+    n = 401
+    growth = np.linspace(-1.0, 1.0, n)
+    path = tmp_path / "t.csv"
+    _write_long(path, ("K", "M", "growth"), "%d,%d,%.17g", np.arange(n),
+                [(0, growth), (n - 1, growth[::-1])])
+    rows = [(k, m, g) for k, gs in ((0, growth), (n - 1, growth[::-1]))
+            for m, g in enumerate(gs)]
+    assert path.read_text() == _oracle_text(("K", "M", "growth"), rows)
+
+
+def test_long_no_blocks_is_header_only(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_long(path, ("t", "K", "abs_coeff"), "%.17g,%d,%.17g", np.arange(5), [])
+    assert path.read_text() == "t,K,abs_coeff\n"
+
+
+def test_mi_scan_writer_matches_the_rules(tmp_path):
+    cfg = LatticeConfig(L=50.0, N=100, gamma=1.5, delta=-1.5)
+    scans = [mi_scan(k, cfg, 1.0, cfg.delta) for k in (3, 50)]
+    write_mi_scan_csv(tmp_path / "m.csv", scans)
+    rows = [(s.K, m, g) for s in scans for m, g in enumerate(s.growth)]
+    assert (tmp_path / "m.csv").read_text() == _oracle_text(("K", "M", "growth"), rows)
 
 
 @pytest.fixture(scope="module")
