@@ -30,6 +30,7 @@ from .core import (
     solvability_gate,
 )
 from .errors import RuntimeFailure, ValidationFailure
+# run_scenario calls the CSV writers by name through this module's namespace
 from .products import (
     RunManifest,
     write_center_density_csv,
@@ -123,6 +124,23 @@ def _base_manifest(spec: ScenarioSpec) -> RunManifest:
     )
 
 
+def _run_dir(out_root: Path, name: str) -> Path:
+    """Create ``<out>/<name>`` and remove an earlier run's manifest and
+    products from it, so the directory holds only what this run lists."""
+    if name in (".", "..") or Path(name).name != name:
+        raise ValidationFailure(f"run name {name!r} must be a single directory name")
+    out_dir = out_root / name
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for pattern in ("manifest.json", "*.csv", "plot_*.txt"):
+        for old in out_dir.glob(pattern):
+            old.unlink()
+    return out_dir
+
+
+# Products written once per (variant, system); the others once per variant.
+_PER_SYSTEM = ("densities", "spectrum", "phase_plane", "center_density")
+
+
 def run_scenario(
     spec: ScenarioSpec,
     out_root: Path,
@@ -130,18 +148,23 @@ def run_scenario(
     auto_t0: bool = False,
 ) -> Path:
     """Run every (variant, system) pair of a scenario and emit its products."""
-    out_dir = out_root / spec.name
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _run_dir(out_root, spec.name)
     manifest = _base_manifest(spec)
     started = time.perf_counter()
     cfg = spec.cfg
     single = len(spec.systems) == 1 and len(spec.variants) == 1
 
-    def product_path(kind: str, system: System | None, label: str) -> Path:
+    def emit(kind: str, system: System | None, label: str, *args) -> None:
+        """Write one product with ``write_<stem>_csv``, looked up in this
+        module at call time, and list it in the manifest."""
+        stem = "density" if kind == "densities" else kind
         if single:
-            return out_dir / f"{kind}.csv"
-        sys_part = f"__{system.value}" if system is not None else ""
-        return out_dir / f"{kind}{sys_part}__{label}.csv"
+            path = out_dir / f"{stem}.csv"
+        else:
+            sys_part = f"__{system.value}" if system is not None else ""
+            path = out_dir / f"{stem}{sys_part}__{label}.csv"
+        globals()[f"write_{stem}_csv"](path, *args)
+        manifest.products.append(path.name)
 
     for variant in spec.variants:
         ic = apply_noise(
@@ -161,34 +184,18 @@ def run_scenario(
 
         for system, traj in trajs.items():
             for kind in spec.outputs:
-                if kind == "densities":
-                    path = product_path("density", system, variant.label)
-                    write_density_csv(path, traj, cfg)
-                elif kind == "spectrum":
-                    path = product_path("spectrum", system, variant.label)
-                    write_spectrum_csv(path, traj, cfg)
-                elif kind == "phase_plane":
-                    path = product_path("phase_plane", system, variant.label)
-                    write_phase_plane_csv(path, traj, cfg)
-                elif kind == "center_density":
-                    path = product_path("center_density", system, variant.label)
-                    write_center_density_csv(path, traj, cfg, dps_ref)
-                else:
-                    continue
-                manifest.products.append(path.name)
+                if kind in _PER_SYSTEM:
+                    extra = (dps_ref,) if kind == "center_density" else ()
+                    emit(kind, system, variant.label, traj, cfg, *extra)
 
         if "wedge" in spec.outputs:
             some_traj = next(iter(trajs.values()))
-            path = product_path("wedge", None, variant.label)
-            write_wedge_csv(path, some_traj.times, spec.background)
-            manifest.products.append(path.name)
+            emit("wedge", None, variant.label, some_traj.times, spec.background)
         if "proximity" in spec.outputs:
             report = build_proximity_report(
                 trajs[System.DNLS], trajs[System.AL], cfg, spec.window
             )
-            path = product_path("proximity", None, variant.label)
-            write_proximity_csv(path, report)
-            manifest.products.append(path.name)
+            emit("proximity", None, variant.label, report)
             manifest.extra[f"proximity__{variant.label}"] = {
                 "alpha": report.alpha,
                 "N0": report.N0,
@@ -203,10 +210,8 @@ def run_scenario(
                 carriers = [variant.ic.mode]
             else:
                 carriers = list(range(cfg.N // 2 + 1))
-            scans = [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers]
-            path = product_path("mi_scan", None, variant.label)
-            write_mi_scan_csv(path, scans)
-            manifest.products.append(path.name)
+            emit("mi_scan", None, variant.label,
+                 [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers])
 
     if plot_scripts:
         manifest.products.extend(write_plot_scripts(out_dir, list(spec.outputs)))
@@ -259,8 +264,7 @@ def _cmd_mi_scan(args) -> int:
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
     carriers = [args.carrier] if args.carrier is not None else list(range(cfg.N // 2 + 1))
     scans = [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers]
-    out_dir = _out_root(args) / "mi_scan"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _run_dir(_out_root(args), "mi_scan")
     write_mi_scan_csv(out_dir / "mi_scan.csv", scans)
     manifest = RunManifest(
         scenario="mi_scan",
@@ -304,8 +308,7 @@ def _cmd_attractor_check(args) -> int:
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
     window = args.window if args.window is not None else min(5.0, spec.integrator.t_end / 2)
     verdict = attractor_verdict(traj, cfg, a_star, tol_amp=args.tol_amp, t_window=window)
-    out_dir = _out_root(args) / spec.name
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _run_dir(_out_root(args), spec.name)
     manifest = _base_manifest(spec)
     manifest.extra["attractor_verdict"] = {
         "converged": verdict.converged,

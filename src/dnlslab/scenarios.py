@@ -9,7 +9,8 @@ defaults for physics parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ KNOWN_OUTPUTS = (
     "proximity",
     "mi_scan",
 )
+_DEFAULT_WINDOW = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ class ScenarioSpec:
     background: float
     noise_amp: float = 0.0
     noise_seed: int = 0
-    window: tuple[float, float] = (-10.0, 10.0)
+    window: tuple[float, float] = _DEFAULT_WINDOW
 
     def __post_init__(self) -> None:
         if not self.systems:
@@ -82,13 +84,23 @@ class ScenarioSpec:
                 raise ValidationError(f"unknown output product {out!r}")
         if "proximity" in self.outputs and set(self.systems) != {System.DNLS, System.AL}:
             raise ValidationError("the proximity product needs paired dnls and al runs")
+        if "proximity" in self.outputs and not self.window[0] < self.window[1]:
+            raise ValidationError(f"the proximity window must be a nonempty interval, "
+                                  f"got {self.window}")
         for out in ("mi_scan", "proximity"):
             if out in self.outputs and not (self.cfg.gamma > 0 and self.cfg.delta < 0):
                 raise ValidationError(f"the {out} product needs gamma > 0 and delta < 0")
-        if "phase_plane" in self.outputs and self.cfg.N % 2 != 0:
-            raise ValidationError("phase-plane tracking needs an even node count")
-        if self.noise_amp < 0:
-            raise ValidationError("noise amplitude must be nonnegative")
+        # the products that track the central node x = 0
+        for out in ("phase_plane", "center_density"):
+            if out in self.outputs and self.cfg.N % 2 != 0:
+                raise ValidationError(f"the {out} product needs an even node count")
+        if ("center_density" in self.outputs and self.cfg.h != 1.0
+                and any(v.dps_reference is not None for v in self.variants)):
+            raise ValidationError(
+                "the rogue-profile reference of center_density needs unit spacing (h = 1)"
+            )
+        if self.noise_amp < 0 or self.noise_seed < 0:
+            raise ValidationError("noise amplitude and seed must be nonnegative")
         # Dry-run every IC so catalog errors surface at load time.
         for variant in self.variants:
             make_initial_condition(variant.ic, self.cfg)
@@ -107,15 +119,9 @@ def apply_noise(state: ComplexState, amp: float, seed: int) -> ComplexState:
 # Built-in catalog
 # ---------------------------------------------------------------------------
 
-def _spec_dp54(t_end: float, sample_every: float) -> IntegratorSpec:
-    return IntegratorSpec(
-        t_end=t_end, method=Method.DP54_ADAPTIVE,
-        dt=1e-3, rtol=1e-9, atol=1e-11, sample_every=sample_every,
-    )
-
-
 def catalog() -> dict[str, ScenarioSpec]:
-    """All built-in scenarios, fully validated."""
+    """All built-in scenarios, fully validated.  A figure's siblings are
+    derived from the first scenario of its family with ``replace``."""
     small = LatticeConfig(L=50.0, N=100, gamma=1.5, delta=-1.5)
     small_weak = LatticeConfig(L=50.0, N=100, gamma=0.1, delta=-0.1)
     wide_crit = LatticeConfig(L=200.0, N=400, gamma=0.0025, delta=-0.01)
@@ -123,139 +129,77 @@ def catalog() -> dict[str, ScenarioSpec]:
 
     algebraic = AlgebraicBumpIC(background=0.5, lam1=1.0, lam2=1.0, lam3=4.0)
     sechbump = SechBumpIC(background=0.5, sigma=0.6, rho=1.0)
-    dps_alg = DpsParams(q=0.5, t0=2.40)
-    dps_sech = DpsParams(q=0.5, t0=3.30)
+    alg = ScenarioVariant("algebraic", algebraic, DpsParams(q=0.5, t0=2.40))
+    sech = ScenarioVariant("sech", sechbump, DpsParams(q=0.5, t0=3.30))
+    short_dense = IntegratorSpec(t_end=10.0, sample_every=0.05)
 
+    fig9a = ScenarioSpec(
+        name="fig9a",
+        description="Algebraic bump on the critical background 0.5: wedge-shaped "
+                    "oscillatory core between quiescent sectors.",
+        systems=(System.DNLS,), cfg=wide_crit, variants=(alg,),
+        integrator=IntegratorSpec(t_end=40.0),
+        outputs=("densities", "wedge", "center_density"), background=0.5,
+    )
+    fig10a = ScenarioSpec(
+        name="fig10a",
+        description="Algebraic bump on background 0.5 with critical amplitude 1: "
+                    "the wedge rides an amplifying background.",
+        systems=(System.DNLS,), cfg=wide_off, variants=(alg,),
+        integrator=IntegratorSpec(t_end=40.0),
+        outputs=("densities", "wedge"), background=0.5,
+    )
     entries = [
         ScenarioSpec(
             name="fig5",
             description="Stable plane-wave carrier K=45: spectra and phase-plane "
                         "orbits converging to the unit-amplitude limit cycle.",
-            systems=(System.DNLS,),
-            cfg=small,
+            systems=(System.DNLS,), cfg=small,
             variants=(
                 ScenarioVariant("ap_plus2", PlaneWaveIC(1.0, 2.0, 45)),
                 ScenarioVariant("ap_minus0p999", PlaneWaveIC(1.0, -0.999, 45)),
             ),
-            integrator=_spec_dp54(t_end=10.0, sample_every=0.1),
-            outputs=("spectrum", "phase_plane", "densities"),
-            background=1.0,
+            integrator=IntegratorSpec(t_end=10.0),
+            outputs=("spectrum", "phase_plane", "densities"), background=1.0,
         ),
         ScenarioSpec(
             name="fig6",
             description="Unstable plane-wave carrier K=8, full horizon: fast "
                         "amplitude convergence, broadband transient, stable-mode selection.",
-            systems=(System.DNLS,),
-            cfg=small,
+            systems=(System.DNLS,), cfg=small,
             variants=(ScenarioVariant("ap_plus2", PlaneWaveIC(1.0, 2.0, 8)),),
-            integrator=_spec_dp54(t_end=3700.0, sample_every=1.0),
-            outputs=("spectrum", "phase_plane"),
-            background=1.0,
-            noise_amp=1e-12,
-            noise_seed=1234,
+            integrator=IntegratorSpec(t_end=3700.0, sample_every=1.0),
+            outputs=("spectrum", "phase_plane"), background=1.0,
+            noise_amp=1e-12, noise_seed=1234,
         ),
         ScenarioSpec(
             name="fig8",
             description="Algebraic bump on an off-critical background "
                         "(gamma=-delta=0.1): spectrum collapses onto one stable mode.",
-            systems=(System.DNLS,),
-            cfg=small_weak,
+            systems=(System.DNLS,), cfg=small_weak,
             variants=(ScenarioVariant("algebraic", algebraic),),
-            integrator=_spec_dp54(t_end=600.0, sample_every=1.0),
-            outputs=("spectrum", "densities"),
-            background=0.5,
+            integrator=IntegratorSpec(t_end=600.0, sample_every=1.0),
+            outputs=("spectrum", "densities"), background=0.5,
         ),
-        ScenarioSpec(
-            name="fig9a",
-            description="Algebraic bump on the critical background 0.5: wedge-shaped "
-                        "oscillatory core between quiescent sectors.",
-            systems=(System.DNLS,),
-            cfg=wide_crit,
-            variants=(ScenarioVariant("algebraic", algebraic, dps_alg),),
-            integrator=_spec_dp54(t_end=40.0, sample_every=0.1),
-            outputs=("densities", "wedge", "center_density"),
-            background=0.5,
-        ),
-        ScenarioSpec(
-            name="fig9b",
-            description="Sech bump on the critical background 0.5: same wedge "
-                        "structure as fig9a.",
-            systems=(System.DNLS,),
-            cfg=wide_crit,
-            variants=(ScenarioVariant("sech", sechbump, dps_sech),),
-            integrator=_spec_dp54(t_end=40.0, sample_every=0.1),
-            outputs=("densities", "wedge", "center_density"),
-            background=0.5,
-        ),
-        ScenarioSpec(
-            name="fig9c",
-            description="Integrable-lattice counterpart of fig9a (same initial data).",
-            systems=(System.AL,),
-            cfg=wide_crit,
-            variants=(ScenarioVariant("algebraic", algebraic, dps_alg),),
-            integrator=_spec_dp54(t_end=40.0, sample_every=0.1),
-            outputs=("densities", "wedge", "center_density"),
-            background=0.5,
-        ),
-        ScenarioSpec(
-            name="fig9d",
-            description="Integrable-lattice counterpart of fig9b (same initial data).",
-            systems=(System.AL,),
-            cfg=wide_crit,
-            variants=(ScenarioVariant("sech", sechbump, dps_sech),),
-            integrator=_spec_dp54(t_end=40.0, sample_every=0.1),
-            outputs=("densities", "wedge", "center_density"),
-            background=0.5,
-        ),
-        ScenarioSpec(
-            name="fig10a",
-            description="Algebraic bump on background 0.5 with critical amplitude 1: "
-                        "the wedge rides an amplifying background.",
-            systems=(System.DNLS,),
-            cfg=wide_off,
-            variants=(ScenarioVariant("algebraic", algebraic, dps_alg),),
-            integrator=_spec_dp54(t_end=40.0, sample_every=0.1),
-            outputs=("densities", "wedge"),
-            background=0.5,
-        ),
-        ScenarioSpec(
-            name="fig10b",
-            description="Sech bump variant of fig10a.",
-            systems=(System.DNLS,),
-            cfg=wide_off,
-            variants=(ScenarioVariant("sech", sechbump, dps_sech),),
-            integrator=_spec_dp54(t_end=40.0, sample_every=0.1),
-            outputs=("densities", "wedge"),
-            background=0.5,
-        ),
-        ScenarioSpec(
-            name="fig11",
-            description="First extreme events of the off-critical runs against the "
-                        "rational rogue profile on background 0.5.",
-            systems=(System.DNLS,),
-            cfg=wide_off,
-            variants=(
-                ScenarioVariant("algebraic", algebraic, dps_alg),
-                ScenarioVariant("sech", sechbump, dps_sech),
-            ),
-            integrator=_spec_dp54(t_end=10.0, sample_every=0.05),
-            outputs=("center_density", "densities"),
-            background=0.5,
-        ),
-        ScenarioSpec(
-            name="fig12",
-            description="Paired gain/loss vs integrable runs from identical bumps: "
-                        "averaged distance curves with analytic envelopes.",
-            systems=(System.DNLS, System.AL),
-            cfg=wide_crit,
-            variants=(
-                ScenarioVariant("algebraic", algebraic, dps_alg),
-                ScenarioVariant("sech", sechbump, dps_sech),
-            ),
-            integrator=_spec_dp54(t_end=10.0, sample_every=0.05),
-            outputs=("proximity",),
-            background=0.5,
-        ),
+        fig9a,
+        replace(fig9a, name="fig9b", variants=(sech,),
+                description="Sech bump on the critical background 0.5: same wedge "
+                            "structure as fig9a."),
+        replace(fig9a, name="fig9c", systems=(System.AL,),
+                description="Integrable-lattice counterpart of fig9a (same initial data)."),
+        replace(fig9a, name="fig9d", systems=(System.AL,), variants=(sech,),
+                description="Integrable-lattice counterpart of fig9b (same initial data)."),
+        fig10a,
+        replace(fig10a, name="fig10b", variants=(sech,),
+                description="Sech bump variant of fig10a."),
+        replace(fig10a, name="fig11", variants=(alg, sech), integrator=short_dense,
+                outputs=("center_density", "densities"),
+                description="First extreme events of the off-critical runs against the "
+                            "rational rogue profile on background 0.5."),
+        replace(fig9a, name="fig12", systems=(System.DNLS, System.AL),
+                variants=(alg, sech), integrator=short_dense, outputs=("proximity",),
+                description="Paired gain/loss vs integrable runs from identical bumps: "
+                            "averaged distance curves with analytic envelopes."),
     ]
     return {spec.name: spec for spec in entries}
 
@@ -264,20 +208,16 @@ def catalog() -> dict[str, ScenarioSpec]:
 # Scenario files
 # ---------------------------------------------------------------------------
 
-_REQUIRED_KEYS = ("L", "N", "gamma", "delta", "ic", "t_end")
-_OPTIONAL_KEYS = (
-    "name", "systems", "h", "bc",
-    "amplitude", "perturbation", "mode",
-    "background", "lam1", "lam2", "lam3", "sigma", "rho",
-    "method", "dt", "rtol", "atol", "sample_every",
-    "outputs", "window_lo", "window_hi",
-    "dps_t0", "dps_q", "noise_amp", "noise_seed", "variant",
-)
-_IC_KEYS = {
-    "planewave": ("amplitude", "perturbation", "mode"),
-    "algebraic": ("background", "lam1", "lam2", "lam3"),
-    "sech": ("background", "sigma", "rho"),
-}
+_IC_KINDS = {"planewave": PlaneWaveIC, "algebraic": AlgebraicBumpIC, "sech": SechBumpIC}
+_INTEGER_KEYS = frozenset({"N", "mode", "noise_seed"})
+_ENUM_KEYS = {"bc": BoundaryKind, "method": Method}
+_KEYS = frozenset({
+    "name", "systems", "ic", "variant", "outputs", "bc", "method",
+    "L", "N", "gamma", "delta", "h",
+    "t_end", "dt", "rtol", "atol", "sample_every",
+    "window_lo", "window_hi", "dps_t0", "dps_q", "noise_amp", "noise_seed",
+}) | {f.name for kind in _IC_KINDS.values() for f in fields(kind)}
+_REQUIRED = object()
 
 
 def _parse_mapping(text: str) -> dict[str, str]:
@@ -300,127 +240,81 @@ def _parse_mapping(text: str) -> dict[str, str]:
     return mapping
 
 
-def _take_float(mapping: dict[str, str], key: str, default: float | None = None) -> float:
+def _number(mapping: dict[str, str], key: str, default=_REQUIRED) -> float:
+    """The finite number under ``key`` (an int for the integer keys), or
+    ``default`` when the key is absent; without a default the key is required."""
     if key not in mapping:
-        if default is None:
+        if default is _REQUIRED:
             raise ParseError(f"missing required key {key!r}")
         return default
+    raw = mapping[key]
+    parse, what = (int, "an integer") if key in _INTEGER_KEYS else (float, "a number")
     try:
-        return float(mapping[key])
+        value = parse(raw)
     except ValueError as exc:
-        raise ParseError(f"key {key!r}: not a number: {mapping[key]!r}") from exc
+        raise ParseError(f"key {key!r}: not {what}: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"key {key!r} must be finite, got {raw!r}")
+    return value
 
 
-def _take_int(mapping: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in mapping:
-        if default is None:
-            raise ParseError(f"missing required key {key!r}")
-        return default
+def _member(kind: type[Enum], key: str, raw: str):
+    """The member of the enum ``kind`` whose value is ``raw``."""
     try:
-        return int(mapping[key])
+        return kind(raw.strip())
     except ValueError as exc:
-        raise ParseError(f"key {key!r}: not an integer: {mapping[key]!r}") from exc
+        names = ", ".join(member.value for member in kind)
+        raise ParseError(f"key {key!r}: expected one of {names}, got {raw.strip()!r}") from exc
 
 
 def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> ScenarioSpec:
-    unknown = set(mapping) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
+    unknown = set(mapping) - _KEYS
     if unknown:
         raise ParseError(f"unknown keys: {', '.join(sorted(unknown))}")
-    for key in _REQUIRED_KEYS:
-        if key not in mapping:
-            raise ParseError(f"missing required key {key!r}")
+    if "ic" not in mapping:
+        raise ParseError("missing required key 'ic'")
+    ic_kind = _IC_KINDS.get(mapping["ic"])
+    if ic_kind is None:
+        raise ParseError(f"key 'ic': expected one of {sorted(_IC_KINDS)}, got {mapping['ic']!r}")
 
-    ic_kind = mapping["ic"]
-    if ic_kind not in _IC_KEYS:
-        raise ParseError(f"key 'ic': expected one of {sorted(_IC_KEYS)}, got {ic_kind!r}")
-    for key in _IC_KEYS[ic_kind]:
-        if key not in mapping:
-            raise ParseError(f"initial condition {ic_kind!r} needs key {key!r}")
-
-    try:
-        bc = BoundaryKind(mapping.get("bc", "periodic"))
-    except ValueError as exc:
-        raise ParseError(f"key 'bc': {exc}") from exc
-    method_name = mapping.get("method", "dp54")
-    try:
-        method = Method(method_name)
-    except ValueError as exc:
-        raise ParseError(f"key 'method': expected rk4 or dp54, got {method_name!r}") from exc
-
-    systems_raw = mapping.get("systems", "dnls")
-    try:
-        systems = tuple(System(tok.strip()) for tok in systems_raw.split(","))
-    except ValueError as exc:
-        raise ParseError(f"key 'systems': {exc}") from exc
-
+    systems = tuple(_member(System, "systems", tok)
+                    for tok in mapping.get("systems", "dnls").split(","))
     outputs_raw = mapping.get("outputs", "densities")
     outputs = tuple(tok.strip() for tok in outputs_raw.split(",") if tok.strip())
 
-    h_val = _take_float(mapping, "h", default=math.nan)
+    def given(*keys: str) -> dict:
+        """The settings among ``keys`` that the file gives; the receiving
+        dataclass's own defaults stand for the others."""
+        return {key: _member(_ENUM_KEYS[key], key, mapping[key]) if key in _ENUM_KEYS
+                else _number(mapping, key) for key in keys if key in mapping}
+
     try:
         cfg = LatticeConfig(
-            L=_take_float(mapping, "L"),
-            N=_take_int(mapping, "N"),
-            gamma=_take_float(mapping, "gamma"),
-            delta=_take_float(mapping, "delta"),
-            bc=bc,
-            h=None if math.isnan(h_val) else h_val,
+            L=_number(mapping, "L"), N=_number(mapping, "N"),
+            gamma=_number(mapping, "gamma"), delta=_number(mapping, "delta"),
+            **given("bc", "h"),
         )
-        if ic_kind == "planewave":
-            ic: InitialCondition = PlaneWaveIC(
-                amplitude=_take_float(mapping, "amplitude"),
-                perturbation=_take_float(mapping, "perturbation"),
-                mode=_take_int(mapping, "mode"),
-            )
-            background = _take_float(mapping, "background", default=ic.amplitude)
-        elif ic_kind == "algebraic":
-            ic = AlgebraicBumpIC(
-                background=_take_float(mapping, "background"),
-                lam1=_take_float(mapping, "lam1"),
-                lam2=_take_float(mapping, "lam2"),
-                lam3=_take_float(mapping, "lam3"),
-            )
-            background = ic.background
-        else:
-            ic = SechBumpIC(
-                background=_take_float(mapping, "background"),
-                sigma=_take_float(mapping, "sigma"),
-                rho=_take_float(mapping, "rho"),
-            )
-            background = ic.background
-
+        ic = ic_kind(**{f.name: _number(mapping, f.name) for f in fields(ic_kind)})
+        # a bump's background is its own required key; a plane wave's
+        # defaults to its amplitude
+        background = _number(mapping, "background", getattr(ic, "amplitude", None))
         integrator = IntegratorSpec(
-            t_end=_take_float(mapping, "t_end"),
-            method=method,
-            dt=_take_float(mapping, "dt", default=1e-3),
-            rtol=_take_float(mapping, "rtol", default=1e-9),
-            atol=_take_float(mapping, "atol", default=1e-11),
-            sample_every=_take_float(mapping, "sample_every", default=0.1),
+            t_end=_number(mapping, "t_end"),
+            **given("method", "dt", "rtol", "atol", "sample_every"),
         )
-
         dps_ref = None
         if "dps_t0" in mapping:
-            dps_ref = DpsParams(
-                q=_take_float(mapping, "dps_q", default=background),
-                t0=_take_float(mapping, "dps_t0"),
-            )
-        variant = ScenarioVariant(mapping.get("variant", "main"), ic, dps_ref)
-
+            dps_ref = DpsParams(q=_number(mapping, "dps_q", background),
+                                t0=_number(mapping, "dps_t0"))
         return ScenarioSpec(
             name=mapping.get("name", fallback_name),
             description="user scenario",
-            systems=systems,
-            cfg=cfg,
-            variants=(variant,),
-            integrator=integrator,
-            outputs=outputs,
-            background=background,
-            noise_amp=_take_float(mapping, "noise_amp", default=0.0),
-            noise_seed=_take_int(mapping, "noise_seed", default=0),
-            window=(
-                _take_float(mapping, "window_lo", default=-10.0),
-                _take_float(mapping, "window_hi", default=10.0),
-            ),
+            systems=systems, cfg=cfg,
+            variants=(ScenarioVariant(mapping.get("variant", "main"), ic, dps_ref),),
+            integrator=integrator, outputs=outputs, background=background,
+            window=(_number(mapping, "window_lo", _DEFAULT_WINDOW[0]),
+                    _number(mapping, "window_hi", _DEFAULT_WINDOW[1])),
+            **given("noise_amp", "noise_seed"),
         )
     except ParseError:
         raise

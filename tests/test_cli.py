@@ -41,6 +41,19 @@ class TestGate:
         assert exc.value.code == 2
 
 
+# Each non-finite setting, with the outputs (and systems) of a file that uses it.
+NON_FINITE_SETTINGS = {
+    "sample_every = nan": "densities",
+    "sample_every = inf": "densities",
+    "atol = inf": "densities",
+    "rtol = inf": "densities",
+    "dt = inf": "densities",
+    "dps_t0 = nan": "densities, center_density",
+    "window_lo = nan": "densities, proximity\nsystems = dnls, al",
+    "noise_amp = nan": "densities",
+}
+
+
 class TestSimulate:
     def test_fig5_smoke_products_and_manifest(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "fig5", "--smoke",
@@ -118,19 +131,78 @@ class TestSimulate:
         assert "gamma > 0 and delta < 0" in capsys.readouterr().err
         assert not (out_root / "conservative").exists()
 
-    @pytest.mark.parametrize("setting", ["sample_every = nan", "sample_every = inf",
-                                         "atol = inf", "rtol = inf", "dt = inf"])
+    @pytest.mark.parametrize("setting", list(NON_FINITE_SETTINGS))
     def test_non_finite_integrator_setting_rejected_at_load(self, tmp_path, capsys, setting):
         cfgfile = tmp_path / "planewave.cfg"
         cfgfile.write_text(
             "L = 50\nN = 100\ngamma = 1.5\ndelta = -1.5\nic = planewave\n"
             "amplitude = 1\nperturbation = 0.5\nmode = 20\nt_end = 1\n"
-            f"outputs = densities\n{setting}\n"
+            f"outputs = {NON_FINITE_SETTINGS[setting]}\n{setting}\n"
         )
         out_root = tmp_path / "out"
         assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not (out_root / "planewave").exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("L = 50\nN = 101\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+         "outputs = densities, center_density\n", "even node count"),
+        ("L = 100\nN = 100\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
+         "dps_t0 = 3.3\noutputs = densities, center_density\n", "unit spacing"),
+        ("L = 50\nN = 100\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
+         "systems = dnls, al\noutputs = densities, proximity\nwindow_lo = 5\nwindow_hi = -5\n",
+         "nonempty interval"),
+        ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+         "noise_amp = 1e-12\nnoise_seed = -1\n", "must be nonnegative"),
+    ], ids=["center_density_odd_N", "rogue_reference_h_2", "proximity_window_reversed",
+            "noise_seed_negative"])
+    def test_scenario_precondition_rejected_at_load(self, tmp_path, capsys, body, message):
+        cfgfile = tmp_path / "precondition.cfg"
+        cfgfile.write_text(f"gamma = 0.0025\ndelta = -0.01\nt_end = 1\n{body}")
+        out_root = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out_root / "precondition").exists()
+
+    def test_rerun_leaves_only_listed_products(self, tmp_path):
+        def listed_exactly():
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            names = sorted(p.name for p in out_dir.iterdir())
+            return names == sorted(manifest["products"] + ["manifest.json"])
+
+        out_dir = tmp_path / "fig5"
+        assert main(["simulate", "--scenario", "fig5", "--smoke", "--plot-scripts",
+                     "--out", str(tmp_path)]) == 0
+        # a scenario file of the same name with a single output
+        cfgfile = tmp_path / "fig5.cfg"
+        cfgfile.write_text(
+            "L = 25\nN = 50\ngamma = 1.5\ndelta = -1.5\nic = planewave\n"
+            "amplitude = 1\nperturbation = 0.5\nmode = 20\nt_end = 1\n"
+        )
+        assert main(["simulate", "--scenario", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert listed_exactly()
+        assert main(["simulate", "--scenario", "fig5", "--smoke",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["attractor-check", "--scenario", "fig5", "--smoke",
+                     "--out", str(tmp_path)]) == 0
+        assert listed_exactly()
+
+    @pytest.mark.parametrize("name", [".", "..", "nested/name"])
+    def test_run_name_outside_its_own_directory_rejected(self, tmp_path, capsys, name):
+        # the run directory is cleared before a run, so it must be a child of --out
+        out_root = tmp_path / "out"
+        (out_root / "nested").mkdir(parents=True)
+        keep = [out_root / "keep.csv", tmp_path / "keep.csv", out_root / "nested" / "keep.csv"]
+        for path in keep:
+            path.write_text("t\n")
+        cfgfile = tmp_path / "named.cfg"
+        cfgfile.write_text(
+            f"name = {name}\nL = 25\nN = 50\ngamma = 1.5\ndelta = -1.5\nic = planewave\n"
+            "amplitude = 1\nperturbation = 0.5\nmode = 20\nt_end = 1\n"
+        )
+        assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
+        assert "single directory name" in capsys.readouterr().err
+        assert all(path.exists() for path in keep)
 
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["simulate", "--scenario", "fig99"]) == 2

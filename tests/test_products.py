@@ -38,6 +38,21 @@ def _oracle_text(header, rows) -> str:
                                                 for row in rows])
 
 
+def _assert_text(path, expected: str) -> None:
+    """The file holds ``expected``.  Compares line by line and reports the
+    first differing line, so a wrong writer fails at once instead of making
+    pytest diff two multi-thousand-line texts."""
+    actual = path.read_text()
+    got, want = actual.splitlines(), expected.splitlines()
+    for lineno, (a, b) in enumerate(zip(got, want), start=1):
+        if a != b:
+            pytest.fail(f"{path.name} line {lineno}: got {a!r}, expected {b!r}")
+    if len(got) != len(want):
+        pytest.fail(f"{path.name} has {len(got)} lines, expected {len(want)}")
+    if actual != expected:
+        pytest.fail(f"{path.name} differs from the expected text in its line breaks")
+
+
 SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
            1e300, -1e300, 0.1]
 
@@ -46,7 +61,7 @@ def test_float_columns_match_the_rules(tmp_path):
     block = np.array([SPECIAL, SPECIAL[::-1], np.roll(SPECIAL, 3)]).T
     path = tmp_path / "t.csv"
     _write_table(path, ("a", "b", "c"), "%.17g,%.17g,%.17g", block)
-    assert path.read_text() == _oracle_text(("a", "b", "c"), block)
+    _assert_text(path, _oracle_text(("a", "b", "c"), block))
 
 
 def test_integer_columns_match_the_rules(tmp_path):
@@ -54,13 +69,13 @@ def test_integer_columns_match_the_rules(tmp_path):
     rows = [(k, m, g) for k in (0, n - 1) for m, g in enumerate(np.linspace(-1.0, 1.0, n))]
     path = tmp_path / "t.csv"
     _write_table(path, ("K", "M", "growth"), "%d,%d,%.17g", np.array(rows, dtype=np.float64))
-    assert path.read_text() == _oracle_text(("K", "M", "growth"), rows)
+    _assert_text(path, _oracle_text(("K", "M", "growth"), rows))
 
 
 def test_no_blocks_is_header_only(tmp_path):
     path = tmp_path / "t.csv"
     _write_table(path, ("t", "x", "density"), "%.17g,%.17g,%.17g", np.empty((0, 3)))
-    assert path.read_text() == "t,x,density\n"
+    _assert_text(path, "t,x,density\n")
 
 
 def test_long_value_column_matches_the_rules(tmp_path):
@@ -70,7 +85,7 @@ def test_long_value_column_matches_the_rules(tmp_path):
     path = tmp_path / "t.csv"
     _write_long(path, ("t", "x", "density"), "%.17g,%.17g,%.17g", keys, zip(leads, values))
     rows = [(t, x, v) for t, vs in zip(leads, values) for x, v in zip(keys, vs)]
-    assert path.read_text() == _oracle_text(("t", "x", "density"), rows)
+    _assert_text(path, _oracle_text(("t", "x", "density"), rows))
 
 
 def test_long_integer_keys_match_the_rules(tmp_path):
@@ -81,13 +96,13 @@ def test_long_integer_keys_match_the_rules(tmp_path):
                 [(0, growth), (n - 1, growth[::-1])])
     rows = [(k, m, g) for k, gs in ((0, growth), (n - 1, growth[::-1]))
             for m, g in enumerate(gs)]
-    assert path.read_text() == _oracle_text(("K", "M", "growth"), rows)
+    _assert_text(path, _oracle_text(("K", "M", "growth"), rows))
 
 
 def test_long_no_blocks_is_header_only(tmp_path):
     path = tmp_path / "t.csv"
     _write_long(path, ("t", "K", "abs_coeff"), "%.17g,%d,%.17g", np.arange(5), [])
-    assert path.read_text() == "t,K,abs_coeff\n"
+    _assert_text(path, "t,K,abs_coeff\n")
 
 
 def test_mi_scan_writer_matches_the_rules(tmp_path):
@@ -95,7 +110,7 @@ def test_mi_scan_writer_matches_the_rules(tmp_path):
     scans = [mi_scan(k, cfg, 1.0, cfg.delta) for k in (3, 50)]
     write_mi_scan_csv(tmp_path / "m.csv", scans)
     rows = [(s.K, m, g) for s in scans for m, g in enumerate(s.growth)]
-    assert (tmp_path / "m.csv").read_text() == _oracle_text(("K", "M", "growth"), rows)
+    _assert_text(tmp_path / "m.csv", _oracle_text(("K", "M", "growth"), rows))
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +136,7 @@ def test_field_writers_match_the_rules(tmp_path, short_run):
     write_density_csv(tmp_path / "d.csv", traj, cfg)
     write_spectrum_csv(tmp_path / "s.csv", traj, cfg)
     write_center_density_csv(tmp_path / "c.csv", traj, cfg, ref)
-    assert (tmp_path / "d.csv").read_text() == _oracle_text(("t", "x", "density"), density_rows)
-    assert (tmp_path / "s.csv").read_text() == _oracle_text(("t", "K", "abs_coeff"),
-                                                            spectrum_rows)
-    assert (tmp_path / "c.csv").read_text() == _oracle_text(("t", "density", "dps_density"),
-                                                            center_rows)
+    _assert_text(tmp_path / "d.csv", _oracle_text(("t", "x", "density"), density_rows))
+    _assert_text(tmp_path / "s.csv", _oracle_text(("t", "K", "abs_coeff"), spectrum_rows))
+    _assert_text(tmp_path / "c.csv",
+                 _oracle_text(("t", "density", "dps_density"), center_rows))

@@ -1,4 +1,7 @@
 """Catalog validation and the scenario file parser."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,17 @@ def test_parse_good_file(tmp_path):
     assert spec.cfg.N == 100
     assert spec.variants[0].dps_reference.q == 0.5  # defaults to the background
     assert spec.window == (-10.0, 10.0)
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(examples) == 1
+    path = tmp_path / "readme_example.cfg"
+    path.write_text(examples[0])
+    spec = load_scenario(path)
+    assert spec.name == "demo"
+    assert spec.outputs == ("proximity",)
 
 
 def test_missing_required_key(tmp_path):
