@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation/usage error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -30,7 +31,6 @@ from .core import (
     solvability_gate,
 )
 from .errors import RuntimeFailure, ValidationFailure
-# run_scenario calls the CSV writers by name through this module's namespace
 from .products import (
     RunManifest,
     write_center_density_csv,
@@ -125,20 +125,27 @@ def _base_manifest(spec: ScenarioSpec) -> RunManifest:
 
 
 def _run_dir(out_root: Path, name: str) -> Path:
-    """Create ``<out>/<name>`` and remove an earlier run's manifest and
-    products from it, so the directory holds only what this run lists."""
+    """Create ``<out>/<name>`` and remove the manifest of an earlier run there
+    and the products it lists; files no manifest lists are left alone."""
     if name in (".", "..") or Path(name).name != name:
         raise ValidationFailure(f"run name {name!r} must be a single directory name")
     out_dir = out_root / name
     out_dir.mkdir(parents=True, exist_ok=True)
-    for pattern in ("manifest.json", "*.csv", "plot_*.txt"):
-        for old in out_dir.glob(pattern):
-            old.unlink()
+    old = out_dir / "manifest.json"
+    if old.is_file():
+        try:
+            listed = json.loads(old.read_text(encoding="utf-8"))["products"]
+        except (ValueError, KeyError, TypeError):
+            listed = None
+        if not (isinstance(listed, list) and all(isinstance(p, str) for p in listed)):
+            raise ValidationFailure(
+                f"{old} is not a run manifest; remove it or pick another --out"
+            )
+        for product in listed + ["manifest.json"]:
+            path = out_dir / product
+            if Path(product).name == product and path.is_file():
+                path.unlink()
     return out_dir
-
-
-# Products written once per (variant, system); the others once per variant.
-_PER_SYSTEM = ("densities", "spectrum", "phase_plane", "center_density")
 
 
 def run_scenario(
@@ -154,16 +161,14 @@ def run_scenario(
     cfg = spec.cfg
     single = len(spec.systems) == 1 and len(spec.variants) == 1
 
-    def emit(kind: str, system: System | None, label: str, *args) -> None:
-        """Write one product with ``write_<stem>_csv``, looked up in this
-        module at call time, and list it in the manifest."""
-        stem = "density" if kind == "densities" else kind
+    def emit(writer, stem: str, system: System | None, label: str, *args) -> None:
+        """Write one product with ``writer`` and list it in the manifest."""
         if single:
             path = out_dir / f"{stem}.csv"
         else:
             sys_part = f"__{system.value}" if system is not None else ""
             path = out_dir / f"{stem}{sys_part}__{label}.csv"
-        globals()[f"write_{stem}_csv"](path, *args)
+        writer(path, *args)
         manifest.products.append(path.name)
 
     for variant in spec.variants:
@@ -184,18 +189,25 @@ def run_scenario(
 
         for system, traj in trajs.items():
             for kind in spec.outputs:
-                if kind in _PER_SYSTEM:
-                    extra = (dps_ref,) if kind == "center_density" else ()
-                    emit(kind, system, variant.label, traj, cfg, *extra)
+                if kind == "densities":
+                    emit(write_density_csv, "density", system, variant.label, traj, cfg)
+                elif kind == "spectrum":
+                    emit(write_spectrum_csv, kind, system, variant.label, traj, cfg)
+                elif kind == "phase_plane":
+                    emit(write_phase_plane_csv, kind, system, variant.label, traj, cfg)
+                elif kind == "center_density":
+                    emit(write_center_density_csv, kind, system, variant.label,
+                         traj, cfg, dps_ref)
 
         if "wedge" in spec.outputs:
             some_traj = next(iter(trajs.values()))
-            emit("wedge", None, variant.label, some_traj.times, spec.background)
+            emit(write_wedge_csv, "wedge", None, variant.label,
+                 some_traj.times, spec.background)
         if "proximity" in spec.outputs:
             report = build_proximity_report(
                 trajs[System.DNLS], trajs[System.AL], cfg, spec.window
             )
-            emit("proximity", None, variant.label, report)
+            emit(write_proximity_csv, "proximity", None, variant.label, report)
             manifest.extra[f"proximity__{variant.label}"] = {
                 "alpha": report.alpha,
                 "N0": report.N0,
@@ -210,7 +222,7 @@ def run_scenario(
                 carriers = [variant.ic.mode]
             else:
                 carriers = list(range(cfg.N // 2 + 1))
-            emit("mi_scan", None, variant.label,
+            emit(write_mi_scan_csv, "mi_scan", None, variant.label,
                  [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers])
 
     if plot_scripts:

@@ -30,6 +30,7 @@ __all__ = [
     "ProximityReport",
     "SmallnessCheck",
     "dps_eval",
+    "unit_spacing",
     "al_invariant",
     "al_norm_bound",
     "distance_curves",
@@ -59,6 +60,11 @@ class DpsParams:
         return self.q**2 * (3.0 + 4.0 * self.q**2) ** 2
 
 
+def unit_spacing(h: float) -> bool:
+    """Whether a lattice spacing is 1 to within 1e-12, as the rogue profile needs."""
+    return abs(h - 1.0) <= 1e-12
+
+
 def dps_eval(grid: NodeGrid, t: float, params: DpsParams) -> ComplexState:
     """Rational rogue-wave solution of the integrable lattice at unit coupling.
 
@@ -69,7 +75,7 @@ def dps_eval(grid: NodeGrid, t: float, params: DpsParams) -> ComplexState:
     lattice spacing (the closed form holds for k = 1).
     """
     x = grid.x
-    if x.size >= 2 and abs((x[1] - x[0]) - 1.0) > 1e-12:
+    if x.size >= 2 and not unit_spacing(x[1] - x[0]):
         raise ConfigError("the rational rogue profile requires unit spacing (h = 1, k = 1)")
     q = params.q
     tau = t - params.t0

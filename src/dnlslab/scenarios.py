@@ -26,7 +26,7 @@ from .core import (
     make_initial_condition,
 )
 from .errors import ParseError, ValidationError, ValidationFailure
-from .proximity import DpsParams
+from .proximity import DpsParams, unit_spacing
 from .timestep import IntegratorSpec, Method, System
 
 __all__ = [
@@ -94,7 +94,7 @@ class ScenarioSpec:
         for out in ("phase_plane", "center_density"):
             if out in self.outputs and self.cfg.N % 2 != 0:
                 raise ValidationError(f"the {out} product needs an even node count")
-        if ("center_density" in self.outputs and self.cfg.h != 1.0
+        if ("center_density" in self.outputs and not unit_spacing(self.cfg.h)
                 and any(v.dps_reference is not None for v in self.variants)):
             raise ValidationError(
                 "the rogue-profile reference of center_density needs unit spacing (h = 1)"
@@ -137,69 +137,110 @@ def catalog() -> dict[str, ScenarioSpec]:
         name="fig9a",
         description="Algebraic bump on the critical background 0.5: wedge-shaped "
                     "oscillatory core between quiescent sectors.",
-        systems=(System.DNLS,), cfg=wide_crit, variants=(alg,),
+        systems=(System.DNLS,),
+        cfg=wide_crit,
+        variants=(alg,),
         integrator=IntegratorSpec(t_end=40.0),
-        outputs=("densities", "wedge", "center_density"), background=0.5,
+        outputs=("densities", "wedge", "center_density"),
+        background=0.5,
     )
     fig10a = ScenarioSpec(
         name="fig10a",
         description="Algebraic bump on background 0.5 with critical amplitude 1: "
                     "the wedge rides an amplifying background.",
-        systems=(System.DNLS,), cfg=wide_off, variants=(alg,),
+        systems=(System.DNLS,),
+        cfg=wide_off,
+        variants=(alg,),
         integrator=IntegratorSpec(t_end=40.0),
-        outputs=("densities", "wedge"), background=0.5,
+        outputs=("densities", "wedge"),
+        background=0.5,
     )
     entries = [
         ScenarioSpec(
             name="fig5",
             description="Stable plane-wave carrier K=45: spectra and phase-plane "
                         "orbits converging to the unit-amplitude limit cycle.",
-            systems=(System.DNLS,), cfg=small,
+            systems=(System.DNLS,),
+            cfg=small,
             variants=(
                 ScenarioVariant("ap_plus2", PlaneWaveIC(1.0, 2.0, 45)),
                 ScenarioVariant("ap_minus0p999", PlaneWaveIC(1.0, -0.999, 45)),
             ),
             integrator=IntegratorSpec(t_end=10.0),
-            outputs=("spectrum", "phase_plane", "densities"), background=1.0,
+            outputs=("spectrum", "phase_plane", "densities"),
+            background=1.0,
         ),
         ScenarioSpec(
             name="fig6",
             description="Unstable plane-wave carrier K=8, full horizon: fast "
                         "amplitude convergence, broadband transient, stable-mode selection.",
-            systems=(System.DNLS,), cfg=small,
+            systems=(System.DNLS,),
+            cfg=small,
             variants=(ScenarioVariant("ap_plus2", PlaneWaveIC(1.0, 2.0, 8)),),
             integrator=IntegratorSpec(t_end=3700.0, sample_every=1.0),
-            outputs=("spectrum", "phase_plane"), background=1.0,
-            noise_amp=1e-12, noise_seed=1234,
+            outputs=("spectrum", "phase_plane"),
+            background=1.0,
+            noise_amp=1e-12,
+            noise_seed=1234,
         ),
         ScenarioSpec(
             name="fig8",
             description="Algebraic bump on an off-critical background "
                         "(gamma=-delta=0.1): spectrum collapses onto one stable mode.",
-            systems=(System.DNLS,), cfg=small_weak,
+            systems=(System.DNLS,),
+            cfg=small_weak,
             variants=(ScenarioVariant("algebraic", algebraic),),
             integrator=IntegratorSpec(t_end=600.0, sample_every=1.0),
-            outputs=("spectrum", "densities"), background=0.5,
+            outputs=("spectrum", "densities"),
+            background=0.5,
         ),
         fig9a,
-        replace(fig9a, name="fig9b", variants=(sech,),
-                description="Sech bump on the critical background 0.5: same wedge "
-                            "structure as fig9a."),
-        replace(fig9a, name="fig9c", systems=(System.AL,),
-                description="Integrable-lattice counterpart of fig9a (same initial data)."),
-        replace(fig9a, name="fig9d", systems=(System.AL,), variants=(sech,),
-                description="Integrable-lattice counterpart of fig9b (same initial data)."),
+        replace(
+            fig9a,
+            name="fig9b",
+            description="Sech bump on the critical background 0.5: same wedge "
+                        "structure as fig9a.",
+            variants=(sech,),
+        ),
+        replace(
+            fig9a,
+            name="fig9c",
+            description="Integrable-lattice counterpart of fig9a (same initial data).",
+            systems=(System.AL,),
+        ),
+        replace(
+            fig9a,
+            name="fig9d",
+            description="Integrable-lattice counterpart of fig9b (same initial data).",
+            systems=(System.AL,),
+            variants=(sech,),
+        ),
         fig10a,
-        replace(fig10a, name="fig10b", variants=(sech,),
-                description="Sech bump variant of fig10a."),
-        replace(fig10a, name="fig11", variants=(alg, sech), integrator=short_dense,
-                outputs=("center_density", "densities"),
-                description="First extreme events of the off-critical runs against the "
-                            "rational rogue profile on background 0.5."),
-        replace(fig9a, name="fig12", systems=(System.DNLS, System.AL),
-                variants=(alg, sech), integrator=short_dense, outputs=("proximity",),
-                description="Paired gain/loss vs integrable runs from identical bumps: "
-                            "averaged distance curves with analytic envelopes."),
+        replace(
+            fig10a,
+            name="fig10b",
+            description="Sech bump variant of fig10a.",
+            variants=(sech,),
+        ),
+        replace(
+            fig10a,
+            name="fig11",
+            description="First extreme events of the off-critical runs against the "
+                        "rational rogue profile on background 0.5.",
+            variants=(alg, sech),
+            integrator=short_dense,
+            outputs=("center_density", "densities"),
+        ),
+        replace(
+            fig9a,
+            name="fig12",
+            description="Paired gain/loss vs integrable runs from identical bumps: "
+                        "averaged distance curves with analytic envelopes.",
+            systems=(System.DNLS, System.AL),
+            variants=(alg, sech),
+            integrator=short_dense,
+            outputs=("proximity",),
+        ),
     ]
     return {spec.name: spec for spec in entries}
 
@@ -290,8 +331,10 @@ def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> Scena
 
     try:
         cfg = LatticeConfig(
-            L=_number(mapping, "L"), N=_number(mapping, "N"),
-            gamma=_number(mapping, "gamma"), delta=_number(mapping, "delta"),
+            L=_number(mapping, "L"),
+            N=_number(mapping, "N"),
+            gamma=_number(mapping, "gamma"),
+            delta=_number(mapping, "delta"),
             **given("bc", "h"),
         )
         ic = ic_kind(**{f.name: _number(mapping, f.name) for f in fields(ic_kind)})
@@ -309,9 +352,12 @@ def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> Scena
         return ScenarioSpec(
             name=mapping.get("name", fallback_name),
             description="user scenario",
-            systems=systems, cfg=cfg,
+            systems=systems,
+            cfg=cfg,
             variants=(ScenarioVariant(mapping.get("variant", "main"), ic, dps_ref),),
-            integrator=integrator, outputs=outputs, background=background,
+            integrator=integrator,
+            outputs=outputs,
+            background=background,
             window=(_number(mapping, "window_lo", _DEFAULT_WINDOW[0]),
                     _number(mapping, "window_hi", _DEFAULT_WINDOW[1])),
             **given("noise_amp", "noise_seed"),

@@ -187,6 +187,28 @@ class TestSimulate:
                      "--out", str(tmp_path)]) == 0
         assert listed_exactly()
 
+    def test_rerun_keeps_files_no_manifest_lists(self, tmp_path):
+        out_dir = tmp_path / "fig5"
+        out_dir.mkdir()
+        (out_dir / "notes.csv").write_text("mine\n")
+        for _ in range(2):
+            assert main(["simulate", "--scenario", "fig5", "--smoke",
+                         "--out", str(tmp_path)]) == 0
+        assert (out_dir / "notes.csv").read_text() == "mine\n"
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert "notes.csv" not in manifest["products"]
+
+    def test_foreign_manifest_is_not_replaced(self, tmp_path, capsys):
+        out_dir = tmp_path / "fig5"
+        out_dir.mkdir()
+        (out_dir / "manifest.json").write_text('["density.csv"]\n')
+        (out_dir / "density.csv").write_text("mine\n")
+        assert main(["simulate", "--scenario", "fig5", "--smoke",
+                     "--out", str(tmp_path)]) == 2
+        assert "not a run manifest" in capsys.readouterr().err
+        assert (out_dir / "manifest.json").read_text() == '["density.csv"]\n'
+        assert (out_dir / "density.csv").read_text() == "mine\n"
+
     @pytest.mark.parametrize("name", [".", "..", "nested/name"])
     def test_run_name_outside_its_own_directory_rejected(self, tmp_path, capsys, name):
         # the run directory is cleared before a run, so it must be a child of --out

@@ -168,6 +168,15 @@ def test_precondition_violation_is_validation_error(tmp_path):
         load_scenario(path)
 
 
+def test_rogue_reference_accepts_spacing_within_rounding(tmp_path):
+    # h = 2L/N is 2 ulp above 1 here; the rogue profile allows |h - 1| <= 1e-12
+    path = tmp_path / "near_unit.cfg"
+    path.write_text(GOOD_FILE.replace("L = 50\n", "L = 50.00000000000001\n")
+                    .replace("outputs = proximity", "outputs = center_density"))
+    spec = load_scenario(path)
+    assert spec.cfg.h != 1.0
+
+
 def test_unknown_scenario_name():
     with pytest.raises(ValidationError, match="neither"):
         load_scenario("fig99")
