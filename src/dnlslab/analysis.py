@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (
     ComplexState,
@@ -96,6 +95,8 @@ def phase_increment(A0: float, gamma: float, delta: float, t: float) -> float:
         # validate arguments even for the trivial case
         amplitude_ode_solution(A0, gamma, delta, 0.0)
         return 0.0
+    from scipy.integrate import quad  # loaded on first use: most runs never need it
+
     val, _ = quad(
         lambda s: amplitude_ode_solution(A0, gamma, delta, s),
         0.0,

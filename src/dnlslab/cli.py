@@ -313,9 +313,12 @@ def _cmd_attractor_check(args) -> int:
     spec = _resolve_scenario(args)
     if System.DNLS not in spec.systems:
         raise ValidationFailure("attractor-check needs a gain/loss lattice run")
+    # only the first variant of the gain/loss lattice is integrated, so the
+    # manifest describes only that run
+    spec = replace(spec, systems=(System.DNLS,), variants=spec.variants[:1])
     cfg = spec.cfg
-    variant = spec.variants[0]
-    ic = apply_noise(make_initial_condition(variant.ic, cfg), spec.noise_amp, spec.noise_seed)
+    ic = apply_noise(make_initial_condition(spec.variants[0].ic, cfg),
+                     spec.noise_amp, spec.noise_seed)
     traj = integrate(System.DNLS, ic, cfg, spec.integrator)
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
     window = args.window if args.window is not None else min(5.0, spec.integrator.t_end / 2)

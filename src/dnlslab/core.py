@@ -270,10 +270,10 @@ def _check_background(A: float) -> None:
         raise DomainError(f"background amplitude must be finite and nonnegative, got {A}")
 
 
-def _neighbor_sum(u: np.ndarray, bc: BoundaryKind) -> np.ndarray:
+def _neighbor_sum(u: np.ndarray, bc: BoundaryKind, out: np.ndarray | None = None) -> np.ndarray:
     """u_{n+1} + u_{n-1} with the configured boundary closure."""
-    s = np.empty_like(u)
-    np.add(u[2:], u[:-2], out=s[1:-1])
+    s = np.empty_like(u) if out is None else out
+    np.add(u[2:], u[:-2], s[1:-1])
     if bc is BoundaryKind.PERIODIC:
         s[0] = u[1] + u[-1]
         s[-1] = u[0] + u[-2]
@@ -292,30 +292,65 @@ def laplacian_values(u: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
 # neighbour sum plus one complex coefficient array, and none checks its
 # input.  The public wrappers below check closure, length and background on
 # every call; ``timestep.integrate`` checks them once per run.
+#
+# A kernel writes its result into ``out``, which must not overlap the input,
+# and keeps its temporaries in ``work`` (from ``_rhs_workspace``); both are
+# allocated when not given.  Each ufunc repeats one operation of the
+# kernel's expression written with temporaries (kept in tests/test_core.py
+# as the oracle), with the same operands in the same order, so the result is
+# the same bits: a chaotic run amplifies any last-bit change.  ``out`` is
+# passed positionally, which numpy parses faster than the keyword.
 
-def dnls_rhs_values(u: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+def _rhs_workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch of the kernels on an n-node lattice: two complex, two real arrays."""
+    return (np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128),
+            np.empty(n), np.empty(n))
+
+
+def dnls_rhs_values(u: np.ndarray, cfg: LatticeConfig, out=None, work=None) -> np.ndarray:
     """((delta + i)|u|^2 + gamma - 2ik) u + ik (u_{n+1} + u_{n-1})."""
-    dens = u.real**2 + u.imag**2
-    coef = (cfg.delta + 1j) * dens + (cfg.gamma - 2j * cfg.k)
-    return coef * u + (1j * cfg.k) * _neighbor_sum(u, cfg.bc)
+    coef, _, dens, sq = _rhs_workspace(u.size) if work is None else work
+    if out is None:
+        out = np.empty_like(coef)
+    np.add(np.square(u.real, dens), np.square(u.imag, sq), dens)
+    np.multiply(cfg.delta + 1j, dens, coef)
+    np.add(coef, cfg.gamma - 2j * cfg.k, coef)
+    np.multiply(coef, u, coef)
+    np.multiply(1j * cfg.k, _neighbor_sum(u, cfg.bc, out), out)
+    return np.add(coef, out, out)
 
 
-def al_rhs_values(phi: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
+def al_rhs_values(phi: np.ndarray, cfg: LatticeConfig, out=None, work=None) -> np.ndarray:
     """i(k + |phi|^2)(phi_{n+1} + phi_{n-1}) - 2ik phi."""
-    coef = 1j * (cfg.k + (phi.real**2 + phi.imag**2))
-    return coef * _neighbor_sum(phi, cfg.bc) - (2j * cfg.k) * phi
+    coef, _, dens, sq = _rhs_workspace(phi.size) if work is None else work
+    if out is None:
+        out = np.empty_like(coef)
+    np.add(np.square(phi.real, dens), np.square(phi.imag, sq), dens)
+    np.multiply(1j, np.add(cfg.k, dens, dens), coef)
+    np.multiply(coef, _neighbor_sum(phi, cfg.bc, out), coef)
+    np.multiply(2j * cfg.k, phi, out)
+    return np.subtract(coef, out, out)
 
 
-def shifted_rhs_values(U: np.ndarray, cfg: LatticeConfig, A: float) -> np.ndarray:
+def shifted_rhs_values(
+    U: np.ndarray, cfg: LatticeConfig, A: float, out=None, work=None
+) -> np.ndarray:
     """((delta + i)|w|^2 + gamma - iA^2) w + ik(U_{n+1} - 2U_n + U_{n-1}), w = U + A.
 
     The +i|w|^2 and -iA^2 terms share the coefficient's imaginary part, so
     they cancel exactly at U == 0.
     """
-    w = U + A
-    dens = w.real**2 + w.imag**2
-    coef = (cfg.delta + 1j) * dens + (cfg.gamma - 1j * A * A)
-    return coef * w + (1j * cfg.k) * (_neighbor_sum(U, cfg.bc) - 2.0 * U)
+    coef, w, dens, sq = _rhs_workspace(U.size) if work is None else work
+    if out is None:
+        out = np.empty_like(coef)
+    np.add(U, A, w)
+    np.add(np.square(w.real, dens), np.square(w.imag, sq), dens)
+    np.multiply(cfg.delta + 1j, dens, coef)
+    np.add(coef, cfg.gamma - 1j * A * A, coef)
+    np.multiply(coef, w, coef)
+    np.subtract(_neighbor_sum(U, cfg.bc, out), np.multiply(2.0, U, w), out)
+    np.multiply(1j * cfg.k, out, out)
+    return np.add(coef, out, out)
 
 
 def discrete_laplacian(state: ComplexState, cfg: LatticeConfig) -> ComplexState:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (ComplexState, LatticeConfig, NodeGrid, al_invariant, critical_amplitude,
                    lattice_norm, node_grid)
@@ -209,6 +208,8 @@ def estimate_I_curve(
         return np.empty(0)
     if np.any(np.diff(times) < 0) or times[0] < 0:
         raise DomainError("times must be nonnegative and nondecreasing")
+
+    from scipy.integrate import quad  # loaded on first use: most runs never need it
 
     f1 = np.empty(times.size)
     f2 = np.empty(times.size)

@@ -11,7 +11,9 @@ the accepted 5th-order solution, is copied into row 0 for the next step
 (FSAL).  Read as a (7, 2N) float64 array, with real and imaginary parts
 interleaved, the buffer turns each stage input, the 5th-order update and the
 embedded error into one real dot product with a row of the padded (7, 7)
-tableau ``_DP_A`` (or with ``_DP_E``) scaled by the step size.
+tableau ``_DP_A`` (or with ``_DP_E``) scaled by the step size.  Every
+per-step array lives in a buffer allocated once per run, and the kernels
+write into them.
 
 The right-hand sides are the unchecked ``*_rhs_values`` kernels of ``core``;
 ``integrate`` checks closure, length and background once per run and then
@@ -20,8 +22,14 @@ only, on every evaluation.
 
 Trajectories are sampled on multiples of ``sample_every`` (plus the final
 time), never at every internal step; diagnostics are evaluated on the
-sampling grid.  Integration is single-threaded per trajectory; distinct
-trajectories carry no shared state and may run concurrently.
+sampling grid.  RK4 steps land on every sample time.  DP54 steps are
+shortened only to land on the final time: a sample time inside an accepted
+step is filled from the pair's continuous extension (Hairer, Norsett and
+Wanner, Solving ODEs I, Sec. II.6), a fourth-order interpolant built from
+the step's own stages.  So the DP54 step sequence, and the state at every
+step and at the final time, do not depend on ``sample_every``.
+Integration is single-threaded per trajectory; distinct trajectories carry
+no shared state and may run concurrently.
 """
 from __future__ import annotations
 
@@ -37,6 +45,7 @@ from .core import (
     LatticeConfig,
     _check_background,
     _check_closure,
+    _rhs_workspace,
     al_invariant,
     al_rhs_values,
     dnls_rhs_values,
@@ -149,6 +158,19 @@ for _s, _row in enumerate((
 _DP_E = np.array(
     (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 )
+# Continuous extension: inside an accepted step from t to t + h,
+#     y(t + theta*h) = y(t) + h * sum_s (_DP_P @ [theta, theta^2, theta^3, theta^4])_s K_s,
+# using the step's seven stages (row 6 is the derivative at t + h).
+_DP_P = np.array((
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+))
 
 
 def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
@@ -176,10 +198,11 @@ def _sample_grid(spec: IntegratorSpec) -> np.ndarray:
     return ts
 
 
-def _run_rk4(rhs, y: np.ndarray, sample_times: np.ndarray, dt: float) -> list[np.ndarray]:
-    samples = [y.copy()]
+def _run_rk4(rhs, y: np.ndarray, sample_times: np.ndarray, dt: float) -> np.ndarray:
+    samples = np.empty((sample_times.size, y.size), dtype=np.complex128)
+    samples[0] = y
     t = sample_times[0]
-    for t_target in sample_times[1:]:
+    for i, t_target in enumerate(sample_times[1:], start=1):
         seg = t_target - t
         nsteps = max(1, math.ceil(seg / dt - 1e-9))
         h = seg / nsteps
@@ -187,65 +210,88 @@ def _run_rk4(rhs, y: np.ndarray, sample_times: np.ndarray, dt: float) -> list[np
             y = _rk4_step(rhs, y, h)
         t = t_target
         _check_blowup(float(np.max(np.abs(y))), t)
-        samples.append(y.copy())
+        samples[i] = y
     return samples
 
 
-def _run_dp54(rhs, y: np.ndarray, sample_times: np.ndarray, spec: IntegratorSpec) -> list[np.ndarray]:
-    samples = [y.copy()]
+def _run_dp54(rhs, y: np.ndarray, sample_times: np.ndarray, spec: IntegratorSpec) -> np.ndarray:
+    """Adaptive DP54 run; ``rhs(y, out)`` writes the derivative at y into out.
+
+    Returns the states at ``sample_times`` as one (samples, N) array.  Only
+    the step that would pass the final time is shortened; earlier sample
+    times are interpolated inside the accepted step that covers them.
+    """
+    n = y.size
+    samples = np.empty((sample_times.size, n), dtype=np.complex128)
+    samples[0] = y
     t = sample_times[0]
+    t_end = sample_times[-1]
+    t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
     h_prop = spec.dt
-    K = np.empty((7, y.size), dtype=np.complex128)
+    K = np.empty((7, n), dtype=np.complex128)
     Kr = K.view(np.float64)  # stage s is row s, real and imaginary parts interleaved
     hA = np.empty_like(_DP_A)
-    # (weights, stages) views fixed for the run; each stage sum is one dot
-    stage_sums = [(hA[s, :s], Kr[:s]) for s in range(1, 7)]
-    K[0] = rhs(y)
-    scale = spec.atol + spec.rtol * np.abs(y)
-    for t_target in sample_times[1:]:
-        while t < t_target - 1e-12 * max(1.0, abs(t_target)):
-            clamped = h_prop > (t_target - t)
-            h = t_target - t if clamped else h_prop
-            if h < MIN_STEP:
-                # Underflow with the state already far beyond any bounded-regime
-                # amplitude is finite-time collapse, not a tolerance problem.
-                if float(np.max(np.abs(y))) > 1e3:
-                    raise BlowUpDetected(
-                        f"step collapse with node modulus {np.max(np.abs(y)):.3g} "
-                        f"at t = {t:.6g}"
-                    )
-                raise StepFailure(f"step size underflowed below {MIN_STEP:g} at t = {t:.6g}")
+    hE = np.empty_like(_DP_E)
+    # (weights, stages, derivative) views of stages 1-5 and of the 5th-order
+    # update, fixed for the run; each stage sum is one dot
+    stages = [(hA[s, :s], Kr[:s], K[s]) for s in range(1, 6)]
+    w6, ks6, K6 = hA[6, :6], Kr[:6], K[6]
+    acc = np.empty(2 * n)  # one stage sum, or the error, as interleaved floats
+    acc_c = acc.view(np.complex128)
+    y, y_new, y_stage = y.copy(), np.empty_like(y), np.empty_like(y)
+    ratios, abs_new, scale = np.empty(n), np.empty(n), np.empty(n)
+    rhs(y, K[0])
+    np.add(spec.atol, np.multiply(spec.rtol, np.abs(y, abs_new), scale), scale)
+    nxt = 1  # index of the next sample to fill
+    while t < t_stop:
+        clamped = h_prop > (t_end - t)
+        h = t_end - t if clamped else h_prop
+        if h < MIN_STEP:
+            # Underflow with the state already far beyond any bounded-regime
+            # amplitude is finite-time collapse, not a tolerance problem.
+            if float(np.max(np.abs(y))) > 1e3:
+                raise BlowUpDetected(
+                    f"step collapse with node modulus {np.max(np.abs(y)):.3g} "
+                    f"at t = {t:.6g}"
+                )
+            raise StepFailure(f"step size underflowed below {MIN_STEP:g} at t = {t:.6g}")
 
-            np.multiply(_DP_A, h, out=hA)
-            for s, (w, ks) in enumerate(stage_sums[:5], start=1):
-                K[s] = rhs(y + np.dot(w, ks).view(np.complex128))
-            w, ks = stage_sums[5]
-            y_new = y + np.dot(w, ks).view(np.complex128)
-            K[6] = rhs(y_new)
-            err = np.dot(h * _DP_E, Kr).view(np.complex128)
+        np.multiply(_DP_A, h, hA)
+        for w, ks, k in stages:
+            np.dot(w, ks, acc)
+            rhs(np.add(y, acc_c, y_stage), k)
+        np.dot(w6, ks6, acc)
+        rhs(np.add(y, acc_c, y_new), K6)
+        np.dot(np.multiply(_DP_E, h, hE), Kr, acc)  # the embedded error
 
-            ratio = float((np.abs(err) / scale).max())
-            abs_new = np.abs(y_new)
-            peak = float(abs_new.max())
-            if ratio <= 1.0:
-                t += h
-                y = y_new
-                K[0] = K[6]  # FSAL
-                _check_blowup(peak, t)
-                scale = spec.atol + spec.rtol * abs_new
-                factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
-                grown = h * factor
-                # A boundary-clamped step must not talk the controller down.
-                h_prop = max(h_prop, grown) if clamped else grown
-            else:
-                # A rejected trial that lands finitely beyond the guard is a
-                # genuine collapse, not a tolerance problem.
-                if math.isfinite(peak) and peak > BLOWUP_THRESHOLD:
-                    raise BlowUpDetected(
-                        f"node modulus exceeded {BLOWUP_THRESHOLD:g} at t = {t:.6g}"
-                    )
-                h_prop = h * min(1.0, max(0.2, 0.9 * ratio ** -0.2))
-        samples.append(y.copy())
+        ratio = float(np.divide(np.abs(acc_c, ratios), scale, ratios).max())
+        peak = float(np.abs(y_new, abs_new).max())
+        if ratio <= 1.0:
+            t_old = t
+            t += h
+            _check_blowup(peak, t)
+            while nxt < sample_times.size - 1 and sample_times[nxt] <= t:
+                powers = np.cumprod(np.full(4, (sample_times[nxt] - t_old) / h))
+                np.dot(h * (_DP_P @ powers), Kr, acc)
+                np.add(y, acc_c, samples[nxt])
+                nxt += 1
+            y, y_new = y_new, y
+            K[0] = K6  # FSAL
+            np.add(spec.atol, np.multiply(spec.rtol, abs_new, scale), scale)
+            factor = 5.0 if ratio == 0.0 else min(5.0, max(0.2, 0.9 * ratio ** -0.2))
+            grown = h * factor
+            # A step clamped to the final time must not talk the controller down.
+            h_prop = max(h_prop, grown) if clamped else grown
+        else:
+            # A rejected trial that lands finitely beyond the guard is a
+            # genuine collapse, not a tolerance problem.
+            if math.isfinite(peak) and peak > BLOWUP_THRESHOLD:
+                raise BlowUpDetected(
+                    f"node modulus exceeded {BLOWUP_THRESHOLD:g} at t = {t:.6g}"
+                )
+            h_prop = h * min(1.0, max(0.2, 0.9 * ratio ** -0.2))
+    # the final time, and any sample time within the stopping tolerance of it
+    samples[nxt:] = y
     return samples
 
 
@@ -271,28 +317,30 @@ def integrate(
 
     # The *_rhs_values kernels check nothing, so closure and background are
     # checked here, once.  The kernels are looked up in this module on every
-    # evaluation and called with positional arguments only.
+    # evaluation and called with positional arguments only; ``work`` is the
+    # kernels' scratch for the run, and ``out`` (allocated when omitted)
+    # receives the derivative.
+    work = _rhs_workspace(cfg.N)
     if system is System.DNLS:
         _check_closure(cfg, BoundaryKind.PERIODIC, "the unshifted gain/loss lattice")
-        rhs = lambda y: dnls_rhs_values(y, cfg)
+        rhs = lambda y, out=None: dnls_rhs_values(y, cfg, out, work)
     elif system is System.AL:
         _check_closure(cfg, BoundaryKind.PERIODIC, "the Ablowitz-Ladik lattice")
-        rhs = lambda y: al_rhs_values(y, cfg)
+        rhs = lambda y, out=None: al_rhs_values(y, cfg, out, work)
     elif system is System.SHIFTED:
         if background is None:
             raise ConfigError("the shifted system requires the background amplitude")
         _check_background(background)
         _check_closure(cfg, BoundaryKind.DIRICHLET_ZERO, "the background-shifted system")
-        rhs = lambda y: shifted_rhs_values(y, cfg, background)
+        rhs = lambda y, out=None: shifted_rhs_values(y, cfg, background, out, work)
     else:
         raise ConfigError(f"unknown system: {system!r}")
 
     sample_times = _sample_grid(spec) + ic.t
-    y0 = ic.values.astype(np.complex128, copy=True)
     if spec.method is Method.RK4_FIXED:
-        raw = _run_rk4(rhs, y0, sample_times, spec.dt)
+        raw = _run_rk4(rhs, ic.values, sample_times, spec.dt)
     else:
-        raw = _run_dp54(rhs, y0, sample_times, spec)
+        raw = _run_dp54(rhs, ic.values, sample_times, spec)
 
     states = [ComplexState(v, t=float(ts)) for v, ts in zip(raw, sample_times)]
     diagnostics: dict[str, np.ndarray] = {

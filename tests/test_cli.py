@@ -297,6 +297,16 @@ def test_attractor_check(tmp_path, capsys):
     assert manifest["extra"]["attractor_verdict"]["final_mode"] == 45
 
 
+def test_attractor_check_manifest_lists_only_the_integrated_run(tmp_path):
+    # fig5 has two variants; attractor-check integrates the first one only
+    assert main(["attractor-check", "--scenario", "fig5", "--smoke",
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "fig5" / "manifest.json").read_text())
+    assert manifest["parameters"]["variants"] == ["ap_plus2"]
+    assert manifest["parameters"]["systems"] == ["dnls"]
+    assert manifest["products"] == []
+
+
 def test_mi_scan_command(tmp_path, capsys):
     assert main(["mi-scan", "--gamma", "1.5", "--delta", "-1.5",
                  "--L", "50", "--N", "100", "--carrier", "8",

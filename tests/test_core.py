@@ -35,6 +35,7 @@ from dnlslab.errors import (
     LengthMismatch,
     WavenumberError,
 )
+from dnlslab.core import _rhs_workspace
 
 
 @pytest.fixture
@@ -338,6 +339,63 @@ class TestFusedKernelsAgainstTextbookFormulas:
         ref = (1j * (lap - A * A * w + dens * w)
                + cfg.gamma * w + cfg.delta * dens * w)
         self._assert_close(shifted_rhs_values(U, cfg, A), ref)
+
+
+# The kernels as they were before they wrote into preallocated buffers: the
+# in-place kernels must give the same bits, since a chaotic run (fig6)
+# amplifies any last-bit change.
+
+def _oracle_neighbor_sum(u, bc):
+    s = np.empty_like(u)
+    np.add(u[2:], u[:-2], out=s[1:-1])
+    if bc is BoundaryKind.PERIODIC:
+        s[0] = u[1] + u[-1]
+        s[-1] = u[0] + u[-2]
+    else:
+        s[0] = u[1]
+        s[-1] = u[-2]
+    return s
+
+
+def _oracle_dnls(u, cfg):
+    dens = u.real**2 + u.imag**2
+    coef = (cfg.delta + 1j) * dens + (cfg.gamma - 2j * cfg.k)
+    return coef * u + (1j * cfg.k) * _oracle_neighbor_sum(u, cfg.bc)
+
+
+def _oracle_al(phi, cfg):
+    coef = 1j * (cfg.k + (phi.real**2 + phi.imag**2))
+    return coef * _oracle_neighbor_sum(phi, cfg.bc) - (2j * cfg.k) * phi
+
+
+def _oracle_shifted(U, cfg, A):
+    w = U + A
+    dens = w.real**2 + w.imag**2
+    coef = (cfg.delta + 1j) * dens + (cfg.gamma - 1j * A * A)
+    return coef * w + (1j * cfg.k) * (_oracle_neighbor_sum(U, cfg.bc) - 2.0 * U)
+
+
+class TestInPlaceKernelsBitIdentical:
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("N", [100, 400])
+    def test_against_allocating_oracle(self, N, bc):
+        # h = 0.74, so that products with k = 1/h^2 round
+        cfg = LatticeConfig(L=0.37 * N, N=N, gamma=0.37, delta=-1.3, bc=bc)
+        rng = np.random.default_rng(N)
+        # reused, dirty buffers, as in the integrator
+        out = np.full(N, np.nan, dtype=complex)
+        work = tuple(np.full_like(a, np.nan) for a in _rhs_workspace(N))
+        for _ in range(20):
+            u = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * 10.0 ** rng.uniform(-6, 1)
+            A = rng.uniform(0.0, 2.0)
+            for oracle, kernel, args in (
+                (_oracle_dnls, dnls_rhs_values, (cfg,)),
+                (_oracle_al, al_rhs_values, (cfg,)),
+                (_oracle_shifted, shifted_rhs_values, (cfg, A)),
+            ):
+                ref = oracle(u, *args).view(np.uint64)
+                assert np.array_equal(kernel(u, *args).view(np.uint64), ref)
+                assert np.array_equal(kernel(u, *args, out, work).view(np.uint64), ref)
 
 
 class TestPublicWrappersValidate:

@@ -129,7 +129,7 @@ class TestIntegrate:
         y0 = np.ones(4, dtype=complex)
         spec = IntegratorSpec(t_end=1.0, sample_every=1.0)
         with pytest.raises(StepFailure):
-            _run_dp54(lambda y: np.full_like(y, np.nan), y0, np.array([0.0, 1.0]), spec)
+            _run_dp54(lambda y, out: out.fill(np.nan), y0, np.array([0.0, 1.0]), spec)
 
 
 _HOOKS = [
@@ -219,6 +219,51 @@ class TestOrderAndTolerance:
         err = np.max(np.abs(adaptive.states[-1].values - reference.states[-1].values))
         allowance = 10.0 * (atol + rtol * np.max(np.abs(reference.states[-1].values)))
         assert err < allowance
+
+
+class TestDenseOutput:
+    """DP54 steps are clamped only at the final time; samples inside a step
+    come from the pair's continuous extension."""
+
+    T_END = 3.0
+    GRIDS = (0.1, 0.5, T_END)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        cfg = LatticeConfig(L=50.0, N=100, gamma=0.1, delta=-0.1)
+        ic = make_initial_condition(AlgebraicBumpIC(0.5, 1.0, 1.0, 4.0), cfg)
+        return {every: integrate(System.DNLS, ic, cfg,
+                                 IntegratorSpec(t_end=self.T_END, sample_every=every))
+                for every in self.GRIDS}
+
+    def test_final_state_independent_of_sampling(self, runs):
+        final = runs[self.T_END].states[-1].values
+        for every in self.GRIDS:
+            assert runs[every].times[-1] == self.T_END
+            assert np.array_equal(runs[every].states[-1].values, final)
+
+    def test_shared_sample_times_agree(self, runs):
+        fine, coarse = runs[0.1], runs[0.5]
+        idx = np.searchsorted(fine.times, coarse.times)
+        assert np.allclose(fine.times[idx], coarse.times, rtol=0, atol=1e-12)
+        for i, state in zip(idx, coarse.states):
+            assert np.max(np.abs(fine.states[i].values - state.values)) <= 1e-13
+
+    def test_interpolation_matrix_is_scipy_rk45(self):
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        assert np.array_equal(timestep._DP_P, rk.RK45.P)
+
+    @pytest.mark.parametrize("A0", [1.0, 3.0])
+    def test_samples_on_exact_orbit_keep_tolerance(self, cfg, A0):
+        ic, fam = _attractor_orbit(cfg, A0=A0)
+        rtol, atol = 1e-9, 1e-11
+        traj = integrate(System.DNLS, ic, cfg,
+                         IntegratorSpec(t_end=2.0, sample_every=0.01, rtol=rtol, atol=atol))
+        a_star = critical_amplitude(cfg.gamma, cfg.delta)
+        for t, state in zip(traj.times, traj.states):
+            exact = plane_wave_exact(fam, node_grid(cfg), t, cfg, a_star).values
+            allowance = 10.0 * (atol + rtol * np.max(np.abs(exact)))
+            assert np.max(np.abs(state.values - exact)) < allowance
 
 
 class TestAveragedPower:
