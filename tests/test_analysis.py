@@ -125,6 +125,31 @@ class TestSlantAsymptote:
         assert drift == pytest.approx(slant_asymptote_offset(A0, gamma, delta), abs=1e-5)
 
 
+class TestPhaseIncrement:
+    # integral of A^2 evaluated with mpmath in 60-digit arithmetic at the
+    # binary values of the arguments; one case per branch of the closed form
+    @pytest.mark.parametrize("A0, gamma, delta, t, ref, rel", [
+        # r < 1, 2 gamma t > 700: a long run just below the critical amplitude
+        (0.999, 1.5, -1.5, 3700.0, 3699.99933299977761097707385969, 1e-14),
+        (0.3, 0.0025, -0.01, 1e6, 249948.917437623400929042074617, 1e-14),
+        (1e-4, 1.5, -1.5, 300.0, 293.859773085349211541233180137, 1e-14),
+        # r < 1, 2 gamma t <= 700, including a tiny amplitude at small t
+        (1e-4, 1.5, -1.5, 0.01, 1.0151511316293155328046507996e-10, 1e-11),
+        (0.4, 1.5, -1.5, 5.0, 4.38914004741252767306858257473, 1e-14),
+        # r >= 1, including r expm1(2 gamma t) beyond the float range
+        (3.0, 1.5, -1.5, 2.0, 2.73167293705117222020793622049, 1e-14),
+        (1e3, 1.5, -1.5, 233.0, 237.605170185988091368035982909, 1e-14),
+        (100.0, 0.1, -2.0, 1e5, 5003.05151816138282097425516583, 1e-14),
+    ])
+    def test_high_precision_references(self, A0, gamma, delta, t, ref, rel):
+        assert phase_increment(A0, gamma, delta, t) == pytest.approx(ref, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(DomainError):
+            phase_increment(0.5, 1.5, -1.5, t)
+
+
 class TestPlaneWaveExact:
     def test_matches_initial_condition_at_t0(self, cfg):
         fam = plane_wave_family(45, 3.0, 0.0, cfg, 1.0)

@@ -1,15 +1,11 @@
-"""Import footprint: scipy is loaded only by the two quadratures that use it."""
+"""Import footprint: the library runs on numpy alone and never loads scipy."""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import dnlslab
-from dnlslab.core import LatticeConfig
-from dnlslab.proximity import estimate_I_curve
 
 _SRC = str(Path(dnlslab.__file__).resolve().parents[1])
 
@@ -42,20 +38,36 @@ def test_import_list_and_simulate_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "out" / "fig8" / "manifest.json").exists()
 
 
-def test_estimate_I_curve_loads_scipy_on_demand(tmp_path):
+def test_runtime_runs_with_scipy_blocked(tmp_path):
     out = _fresh(
         "import json, sys\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
         "import numpy as np\n"
-        "from dnlslab.core import LatticeConfig\n"
-        "from dnlslab.proximity import estimate_I_curve\n"
-        "assert 'scipy' not in sys.modules\n"
-        "cfg = LatticeConfig(L=200.0, N=400, gamma=0.0025, delta=-0.01)\n"
-        "curve = estimate_I_curve(cfg, 0.0025, -0.01, 90.0, 0.5, np.linspace(0.0, 10.0, 21), 0.25)\n"
-        "assert 'scipy.integrate' in sys.modules\n"
-        "print(json.dumps(curve.tolist()))\n",
+        "import dnlslab\n"
+        "from dnlslab.analysis import plane_wave_exact, plane_wave_family\n"
+        "from dnlslab.cli import main\n"
+        "from dnlslab.core import LatticeConfig, SechBumpIC, make_initial_condition, node_grid\n"
+        "from dnlslab.proximity import build_proximity_report, estimate_I_curve\n"
+        "from dnlslab.timestep import IntegratorSpec, System, integrate\n"
+        "small = LatticeConfig(L=50.0, N=100, gamma=1.5, delta=-1.5)\n"
+        "fam = plane_wave_family(5, 0.5, 0.0, small, 1.0)\n"
+        "w = plane_wave_exact(fam, node_grid(small), 5.0, small, 1.0)\n"
+        "assert np.all(np.isfinite(w.values))\n"
+        "wide = LatticeConfig(L=200.0, N=400, gamma=0.0025, delta=-0.01)\n"
+        "curve = estimate_I_curve(wide, 0.0025, -0.01, 90.0, 0.5, np.linspace(0.0, 10.0, 21), 0.25)\n"
+        "assert np.all(np.diff(curve) > 0)\n"
+        "u0 = make_initial_condition(SechBumpIC(0.45, 0.05, 1.0), wide)\n"
+        "spec = IntegratorSpec(t_end=1.0, sample_every=0.5)\n"
+        "rep = build_proximity_report(integrate(System.DNLS, u0, wide, spec),\n"
+        "                             integrate(System.AL, u0, wide, spec), wide)\n"
+        "assert rep.bound_I is not None and np.all(rep.D_a <= rep.bound_I)\n"
+        "assert main(['simulate', '--scenario', 'fig12', '--smoke', '--out', 'out']) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n",
         tmp_path,
     )
-    # the same call in this process, where scipy is already loaded
-    cfg = LatticeConfig(L=200.0, N=400, gamma=0.0025, delta=-0.01)
-    here = estimate_I_curve(cfg, 0.0025, -0.01, 90.0, 0.5, np.linspace(0.0, 10.0, 21), 0.25)
-    assert np.array_equal(np.array(json.loads(out)), here)
+    assert json.loads(out.splitlines()[-1]) == []
+    assert (tmp_path / "out" / "fig12" / "manifest.json").exists()

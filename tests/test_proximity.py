@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from dnlslab.core import (
     AlgebraicBumpIC,
@@ -60,6 +59,12 @@ def estimate_I_closed_forms(cfg, gamma, delta, u0_norm_sq, times):
 @pytest.fixture
 def cfg_wide():
     return LatticeConfig(L=200.0, N=400, gamma=0.0025, delta=-0.01)
+
+
+@pytest.fixture
+def quad():
+    """scipy's adaptive quadrature, an oracle the library itself does not use."""
+    return pytest.importorskip("scipy.integrate").quad
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +279,42 @@ class TestEstimateI:
         assert np.all(np.diff(curve) > 0)
 
     def test_partition_self_consistency(self, cfg_wide):
-        # adaptive quadrature must agree across different sample partitions
+        # the panel rule must agree across different sample partitions
         coarse = estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, 0.0, np.array([0.0, 10.0]))
         fine = estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, 0.0,
                                 np.linspace(0.0, 10.0, 41))
         assert abs(coarse[-1] - fine[-1]) < 1e-8
 
-    def test_closed_form_f2_matches_quadrature(self, cfg_wide):
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 10.0, 201),             # the sampling of a t = 10 paired run
+        np.array([0.0, 1000.0]),                 # one interval 2.5 panels long
+        np.array([0.0, 0.0, 2.5, 2.5, 2.5, 7.0]),  # repeated times
+        np.array([3.0, 2000.0, 20000.0]),        # first time past 0, tail past the last break
+    ])
+    @pytest.mark.parametrize("u0_norm_sq", [None, 1e-6])
+    def test_matches_per_interval_quadrature(self, cfg_wide, quad, times, u0_norm_sq):
+        if u0_norm_sq is None:
+            # the below-critical sech bump of the paired proximity run
+            u0 = make_initial_condition(SechBumpIC(0.45, 0.05, 1.0), cfg_wide)
+            u0_norm_sq = lattice_norm(u0.values, cfg_wide) ** 2
+        B, _, _ = _power_envelope(cfg_wide, 0.0025, -0.01, u0_norm_sq)
+        f1 = f2 = prev = 0.0
+        expected = []
+        for t in times:
+            if t > prev:
+                f1 += quad(lambda s: math.sqrt(B(s)), prev, t, epsabs=0.0, epsrel=1e-13)[0]
+                f2 += quad(lambda s: B(s) ** 1.5, prev, t, epsabs=0.0, epsrel=1e-13)[0]
+                prev = t
+            expected.append(0.25 + 0.0025 * f1 + math.sqrt(0.01**2 + 1.0) * f2)
+        curve = estimate_I_curve(cfg_wide, 0.0025, -0.01, u0_norm_sq, 0.0, times, 0.25)
+        np.testing.assert_allclose(curve, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, cfg_wide, bad):
+        with pytest.raises(DomainError):
+            estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, 0.0, np.array([0.0, 2.0, bad]))
+
+    def test_closed_form_f2_matches_quadrature(self, cfg_wide, quad):
         times = np.linspace(0.0, 10.0, 11)
         _, f2_closed = estimate_I_closed_forms(cfg_wide, 0.0025, -0.01, 90.0, times)
         B, _, _ = _power_envelope(cfg_wide, 0.0025, -0.01, 90.0)
