@@ -16,15 +16,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import attractor_verdict, mi_scan
 from .core import (
     GeneralizedBCSpec,
     PlaneWaveIC,
     LatticeConfig,
-    central_node_index,
     critical_amplitude,
     generalized_gate,
     make_initial_condition,
@@ -33,6 +30,7 @@ from .core import (
 from .errors import RuntimeFailure, ValidationFailure
 from .products import (
     RunManifest,
+    _center_density,
     write_center_density_csv,
     write_density_csv,
     write_manifest,
@@ -55,9 +53,7 @@ from .timestep import System, integrate
 
 
 def _out_root(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get("DNLS_OUT", "out"))
+    return Path(args.out or os.environ.get("DNLS_OUT", "out"))
 
 
 def _resolve_scenario(args) -> ScenarioSpec:
@@ -78,8 +74,7 @@ def _resolve_scenario(args) -> ScenarioSpec:
 
 def _first_central_peak(traj, cfg, floor: float) -> float | None:
     """Time of the first local maximum of the central-node density above floor."""
-    idx = central_node_index(cfg)
-    dens = np.array([abs(s.values[idx]) ** 2 for s in traj.states])
+    dens = _center_density(traj, cfg)
     for i in range(1, dens.size - 1):
         if dens[i] > floor and dens[i] > dens[i - 1] and dens[i] >= dens[i + 1]:
             return float(traj.times[i])
@@ -175,9 +170,7 @@ def run_scenario(
         ic = apply_noise(
             make_initial_condition(variant.ic, cfg), spec.noise_amp, spec.noise_seed
         )
-        trajs: dict[System, object] = {}
-        for system in spec.systems:
-            trajs[system] = integrate(system, ic, cfg, spec.integrator)
+        trajs = {system: integrate(system, ic, cfg, spec.integrator) for system in spec.systems}
 
         dps_ref = variant.dps_reference
         if auto_t0 and dps_ref is not None and System.DNLS in trajs:

@@ -135,9 +135,6 @@ class ComplexState:
     def __len__(self) -> int:
         return self.values.size
 
-    def copy(self) -> "ComplexState":
-        return ComplexState(self.values.copy(), t=self.t)
-
 
 @dataclass(frozen=True, eq=False)
 class NodeGrid:
@@ -162,22 +159,16 @@ def lattice_norm(values: np.ndarray, cfg: LatticeConfig) -> float:
     return math.sqrt(cfg.h) * float(np.linalg.norm(values))
 
 
-def al_invariant(state: ComplexState, cfg: LatticeConfig) -> float:
-    """Conserved quantity h * sum ln(1 + |phi_n|^2) of the integrable lattice."""
+def al_invariant(state, cfg: LatticeConfig) -> float | np.ndarray:
+    """Conserved quantity h * sum ln(1 + |phi_n|^2) of the integrable lattice,
+    of a state or per sample of ``timestep.States`` (over the last axis)."""
     v = state.values
-    return cfg.h * float(np.sum(np.log1p(v.real**2 + v.imag**2)))
+    return cfg.h * np.sum(np.log1p(v.real**2 + v.imag**2), axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Algebraic gates
 # ---------------------------------------------------------------------------
-
-def _require_gain_loss(gamma: float, delta: float) -> None:
-    if not (gamma > 0.0):
-        raise DomainError(f"linear gain required: gamma must be > 0, got {gamma}")
-    if not (delta < 0.0):
-        raise DomainError(f"nonlinear loss required: delta must be < 0, got {delta}")
-
 
 def critical_amplitude(gamma: float, delta: float) -> float:
     """Background amplitude sqrt(-gamma/delta) at which gain and loss balance.
@@ -186,7 +177,10 @@ def critical_amplitude(gamma: float, delta: float) -> float:
     constant forcing vanishes, hence the only one admitting localized
     solutions on an infinite lattice.
     """
-    _require_gain_loss(gamma, delta)
+    if not (gamma > 0.0):
+        raise DomainError(f"linear gain required: gamma must be > 0, got {gamma}")
+    if not (delta < 0.0):
+        raise DomainError(f"nonlinear loss required: delta must be < 0, got {delta}")
     return math.sqrt(-gamma / delta)
 
 
@@ -283,11 +277,6 @@ def _neighbor_sum(u: np.ndarray, bc: BoundaryKind, out: np.ndarray | None = None
     return s
 
 
-def laplacian_values(u: np.ndarray, cfg: LatticeConfig) -> np.ndarray:
-    _check_length(u, cfg)
-    return cfg.k * (_neighbor_sum(u, cfg.bc) - 2.0 * u)
-
-
 # The *_rhs_values kernels are the integrator's hot path: each is one
 # neighbour sum plus one complex coefficient array, and none checks its
 # input.  The public wrappers below check closure, length and background on
@@ -355,7 +344,9 @@ def shifted_rhs_values(
 
 def discrete_laplacian(state: ComplexState, cfg: LatticeConfig) -> ComplexState:
     """k(u_{n+1} - 2u_n + u_{n-1}) per node; linear in its input."""
-    return ComplexState(laplacian_values(state.values, cfg), t=state.t)
+    u = state.values
+    _check_length(u, cfg)
+    return ComplexState(cfg.k * (_neighbor_sum(u, cfg.bc) - 2.0 * u), t=state.t)
 
 
 def dnls_rhs(state: ComplexState, cfg: LatticeConfig) -> ComplexState:

@@ -77,10 +77,15 @@ def _write_long(path: Path, header: tuple[str, ...], fmt: str, keys: np.ndarray,
             fh.write((lead_fmt % lead).join(parts) % tuple(values.tolist()))
 
 
+def _center_density(traj: Trajectory, cfg: LatticeConfig) -> np.ndarray:
+    """Density |u|^2 of the central node (x = 0) at every sample."""
+    # abs(v) ** 2 per numpy scalar: np.abs(column) ** 2 differs in the last bit
+    return np.array([abs(v) ** 2 for v in traj.values[:, central_node_index(cfg)]])
+
+
 def write_density_csv(path: Path, traj: Trajectory, cfg: LatticeConfig) -> None:
     """Long-format density field: one row per (t, x) with |u|^2."""
-    blocks = ((t, s.values.real**2 + s.values.imag**2)
-              for t, s in zip(traj.times, traj.states))
+    blocks = ((t, v.real**2 + v.imag**2) for t, v in zip(traj.times, traj.values))
     _write_long(path, ("t", "x", "density"), "%.17g,%.17g,%.17g", node_grid(cfg).x, blocks)
 
 
@@ -93,8 +98,7 @@ def write_spectrum_csv(path: Path, traj: Trajectory, cfg: LatticeConfig) -> None
 
 def write_phase_plane_csv(path: Path, traj: Trajectory, cfg: LatticeConfig) -> None:
     """Trace of the central node (x = 0) in the complex plane."""
-    idx = central_node_index(cfg)
-    center = np.array([s.values[idx] for s in traj.states])
+    center = traj.values[:, central_node_index(cfg)]
     block = np.column_stack((traj.times, center.real, center.imag))
     _write_table(path, ("t", "re_center", "im_center"), "%.17g,%.17g,%.17g", block)
 
@@ -103,13 +107,10 @@ def write_center_density_csv(
     path: Path, traj: Trajectory, cfg: LatticeConfig, dps_ref: DpsParams | None = None
 ) -> None:
     """Central-node density series, optionally with the rogue-profile reference."""
-    idx = central_node_index(cfg)
-    # abs(v) ** 2 on each numpy scalar, not np.abs(column) ** 2: the two
-    # differ in the last bit for about a third of all values.
-    columns = [traj.times, [abs(s.values[idx]) ** 2 for s in traj.states]]
+    columns = [traj.times, _center_density(traj, cfg)]
     header = ("t", "density")
     if dps_ref is not None:
-        grid = node_grid(cfg)
+        grid, idx = node_grid(cfg), central_node_index(cfg)
         columns.append([abs(dps_eval(grid, float(t), dps_ref).values[idx]) ** 2
                         for t in traj.times])
         header += ("dps_density",)

@@ -40,7 +40,8 @@ __all__ = [
     "build_proximity_report",
 ]
 
-# exp() overflow guard; beyond this the bounds are reported as inf.
+# exp() overflow guard on a bound's whole exponent (1.5 times that of e^{N0}
+# in the 3/2-power tails); beyond this the bounds are reported as inf.
 _EXP_CLAMP = 700.0
 
 
@@ -116,11 +117,9 @@ def distance_curves(
       D_a(t)   = ||u - phi|| / sqrt(N h)               (all nodes)
       D_a_r(t) = (h sum_{x in window} |u-phi|^2)^(1/2) / sqrt(h N_r)
     """
-    if len(traj_u.times) != len(traj_phi.times) or not np.array_equal(
-        traj_u.times, traj_phi.times
-    ):
+    if not np.array_equal(traj_u.times, traj_phi.times):
         raise GridMismatch("paired trajectories must share the sampling grid")
-    if any(len(s) != cfg.N for s in (traj_u.states[0], traj_phi.states[0])):
+    if traj_u.values.shape[1] != cfg.N or traj_phi.values.shape[1] != cfg.N:
         raise GridMismatch("paired trajectories must live on the configured lattice")
     lo, hi = window
     if not lo < hi:
@@ -131,14 +130,13 @@ def distance_curves(
     if n_r == 0:
         raise DomainError(f"no lattice nodes fall in the window {window}")
 
-    n_samp = len(traj_u.times)
-    d_a = np.empty(n_samp)
-    d_a_r = np.empty(n_samp)
-    for i in range(n_samp):
-        diff = traj_u.states[i].values - traj_phi.states[i].values
-        dens = diff.real**2 + diff.imag**2
-        d_a[i] = math.sqrt(dens.sum() / cfg.N)
-        d_a_r[i] = math.sqrt(dens[mask].sum() / n_r)
+    u, phi = traj_u.values, traj_phi.values
+    dens = (u.real - phi.real) ** 2 + (u.imag - phi.imag) ** 2  # no complex difference kept
+    # The window is a run of adjacent nodes.  Summing a slice of each row adds
+    # in the same order as summing that row alone; a masked copy may not.
+    lo_n = int(np.argmax(mask))
+    d_a = np.sqrt(dens.sum(axis=1) / cfg.N)
+    d_a_r = np.sqrt(dens[:, lo_n:lo_n + n_r].sum(axis=1) / n_r)
     return traj_u.times.copy(), d_a, d_a_r, n_r
 
 
@@ -153,7 +151,8 @@ def estimate_II_rate(
     if N0 < 0:
         raise DomainError(f"the invariant is nonnegative, got {N0}")
     expo = N0 / cfg.h
-    tail = math.inf if expo > _EXP_CLAMP else 2.0 * math.sqrt(cfg.h) * math.expm1(expo) ** 1.5
+    tail = (math.inf if 1.5 * expo > _EXP_CLAMP
+            else 2.0 * math.sqrt(cfg.h) * math.expm1(expo) ** 1.5)
     return (
         gamma * A_star * math.sqrt(cfg.N * cfg.h)
         + math.sqrt(delta * delta + 1.0) * math.sqrt(cfg.h) * A_star**3 * cfg.N**1.5
@@ -233,9 +232,11 @@ def estimate_I_curve(
     f2 = np.concatenate(([0.0], np.cumsum(half * ((root * b) @ weights))))
     at = np.searchsorted(edges, times)
 
-    tail_coeff = math.inf if N0 > _EXP_CLAMP else 2.0 * math.expm1(N0) ** 1.5
+    tail_coeff = math.inf if 1.5 * N0 > _EXP_CLAMP else 2.0 * math.expm1(N0) ** 1.5
+    # only where t > 0: an infinite coefficient times t = 0 would be nan
+    tail = np.multiply(tail_coeff, times, out=np.zeros_like(times), where=times > 0)
     return (initial_distance + gamma * f1[at] + math.sqrt(delta * delta + 1.0) * f2[at]
-            + tail_coeff * times)
+            + tail)
 
 
 @dataclass(frozen=True)
@@ -299,8 +300,8 @@ def build_proximity_report(
     times, d_a, d_a_r, n_r = distance_curves(traj_u, traj_phi, cfg, window)
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
     n0 = al_invariant(traj_phi.states[0], cfg)
-    u0 = traj_u.states[0].values
-    initial_distance = lattice_norm(u0 - traj_phi.states[0].values, cfg)
+    u0 = traj_u.values[0]
+    initial_distance = lattice_norm(u0 - traj_phi.values[0], cfg)
     u0_norm_sq = lattice_norm(u0, cfg) ** 2
     scale = math.sqrt(cfg.N * cfg.h)
 

@@ -30,10 +30,15 @@ the step's own stages.  So the DP54 step sequence, and the state at every
 step and at the final time, do not depend on ``sample_every``.
 Integration is single-threaded per trajectory; distinct trajectories carry
 no shared state and may run concurrently.
+
+A trajectory is one (samples, N) complex array, ``Trajectory.values``, with
+row i sampled at ``times[i]``.  ``Trajectory.states`` is a read-only view of
+it that builds a ``ComplexState`` for a row only when one is asked for.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -64,6 +69,7 @@ __all__ = [
     "Method",
     "System",
     "IntegratorSpec",
+    "States",
     "Trajectory",
     "integrate",
     "averaged_power",
@@ -120,20 +126,46 @@ class IntegratorSpec:
             raise ConfigError(f"method must be a Method, got {self.method!r}")
 
 
+class States(Sequence):
+    """Read-only sequence of the sampled states: item i is row i of the
+    (samples, N) array ``values``, stamped ``times[i]``, built on access."""
+
+    def __init__(self, values: np.ndarray, times: np.ndarray) -> None:
+        self.values, self.times = values, times
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> ComplexState:
+        return ComplexState(self.values[i], t=float(self.times[i]))
+
+
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled states plus per-sample diagnostics of one integration run."""
+    """Sampled states plus per-sample diagnostics of one integration run.
+    A list of ``ComplexState`` is stacked once into ``States`` on ``times``."""
 
     times: np.ndarray
-    states: list[ComplexState]
+    states: States
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
     system: System = System.DNLS
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.states, States):
+            rows = [s.values for s in self.states] or np.empty((0, 0))
+            self.states = States(np.array(rows, dtype=np.complex128), self.times)
 
-def averaged_power(state: ComplexState) -> float:
-    """Per-node mean density (1/N) * sum |u_n|^2."""
+    @property
+    def values(self) -> np.ndarray:
+        """The sampled states as one (samples, N) complex array."""
+        return self.states.values
+
+
+def averaged_power(state: ComplexState | States) -> float | np.ndarray:
+    """Per-node mean density (1/N) * sum |u_n|^2 of a state, or per sample
+    of ``States`` (a reduction over the last axis of ``values``)."""
     v = state.values
-    return float(np.mean(v.real**2 + v.imag**2))
+    return np.mean(v.real**2 + v.imag**2, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +205,6 @@ _DP_P = np.array((
 ))
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _check_blowup(peak: float, t: float) -> None:
     # NaN compares false, so test finiteness explicitly (fixed steps can
     # overshoot a genuine blow-up straight into overflow).
@@ -207,7 +231,11 @@ def _run_rk4(rhs, y: np.ndarray, sample_times: np.ndarray, dt: float) -> np.ndar
         nsteps = max(1, math.ceil(seg / dt - 1e-9))
         h = seg / nsteps
         for _ in range(nsteps):
-            y = _rk4_step(rhs, y, h)
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_target
         _check_blowup(float(np.max(np.abs(y))), t)
         samples[i] = y
@@ -342,12 +370,10 @@ def integrate(
     else:
         raw = _run_dp54(rhs, ic.values, sample_times, spec)
 
-    states = [ComplexState(v, t=float(ts)) for v, ts in zip(raw, sample_times)]
-    diagnostics: dict[str, np.ndarray] = {
-        "P_a": np.array([averaged_power(s) for s in states])
-    }
+    states = States(raw, sample_times)
+    diagnostics = {"P_a": averaged_power(states)}
     if system is System.AL:
-        diagnostics["al_invariant"] = np.array([al_invariant(s, cfg) for s in states])
+        diagnostics["al_invariant"] = al_invariant(states, cfg)
     traj = Trajectory(times=sample_times, states=states, diagnostics=diagnostics, system=system)
     if system is System.DNLS and len(states) >= 3:
         diagnostics["balance_residual"] = power_balance_residual(traj, cfg)
@@ -368,7 +394,7 @@ def power_balance_residual(traj: Trajectory, cfg: LatticeConfig) -> np.ndarray:
         raise ConfigError("the power balance law applies to gain/loss lattice runs")
     if len(traj.states) < 3:
         raise NeedThreeSamples("centered differences need at least three samples")
-    dens = np.array([s.values.real**2 + s.values.imag**2 for s in traj.states])
+    dens = traj.values.real**2 + traj.values.imag**2
     W = cfg.h * dens.sum(axis=1)                # h * sum |u|^2
     Q = cfg.h * (dens**2).sum(axis=1)           # h * sum |u|^4
     t = traj.times
@@ -388,8 +414,7 @@ def power_bound_check(
     modulus states saturate the bound, so the pass verdict allows a relative
     tolerance sized to absorb integrator noise on saturating orbits.
     """
-    _require = cfg.gamma > 0 and cfg.delta < 0
-    if not _require:
+    if not (cfg.gamma > 0 and cfg.delta < 0):
         raise DomainError("the power bound requires gamma > 0 and delta < 0")
     if traj.system is not System.DNLS:
         raise ConfigError("the power bound applies to gain/loss lattice runs")

@@ -101,6 +101,11 @@ class TestAmplitudeSolution:
         with pytest.raises(DomainError):
             amplitude_ode_solution(1.0, 1.0, -1.0, -0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array([0.0, math.nan, 1.0])])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(DomainError):
+            amplitude_ode_solution(0.5, 1.5, -1.5, t)
+
 
 class TestSlantAsymptote:
     def test_zero_at_critical_amplitude(self):

@@ -1,5 +1,6 @@
 """Rogue profile, integrable-lattice invariant, and distance estimates."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,26 @@ class TestEstimateI:
             expected.append(0.25 + 0.0025 * f1 + math.sqrt(0.01**2 + 1.0) * f2)
         curve = estimate_I_curve(cfg_wide, 0.0025, -0.01, u0_norm_sq, 0.0, times, 0.25)
         np.testing.assert_allclose(curve, expected, rtol=1e-13, atol=0.0)
+
+    def test_infinite_tail_leaves_the_start_at_the_initial_distance(self, cfg_wide):
+        # N0 > 700 makes the tail coefficient infinite; at t = 0 it must not
+        # turn F(0) into inf * 0 = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, 800.0, [0.0, 1.0], 0.1)
+        assert curve[0] == 0.1
+        assert curve[1] == math.inf
+
+    @pytest.mark.parametrize("n0", [500.0, 700.0])
+    def test_tail_overflow_is_inf(self, cfg_wide, n0):
+        # the tails grow like e^{1.5 N0/h} (h = 1 here), which overflows the
+        # float range below the clamp N0/h = 700 of e^{N0/h}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, n0, [0.0, 1.0], 0.1)
+            rate = estimate_II_rate(cfg_wide, 0.0025, -0.01, 0.5, n0)
+        assert curve[0] == 0.1
+        assert curve[1] == rate == math.inf
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_times_rejected(self, cfg_wide, bad):

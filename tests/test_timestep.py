@@ -1,5 +1,6 @@
 """Integrator behavior: order checks, diagnostics, balance laws, guards."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dnlslab.core import (
     make_initial_condition,
     node_grid,
 )
-from dnlslab.analysis import plane_wave_family, plane_wave_exact
+from dnlslab.analysis import attractor_verdict, plane_wave_family, plane_wave_exact
 from dnlslab import timestep
 from dnlslab.errors import (
     BlowUpDetected,
@@ -24,10 +25,12 @@ from dnlslab.errors import (
     NeedThreeSamples,
     StepFailure,
 )
-from dnlslab.proximity import DpsParams, dps_eval
+from dnlslab.proximity import DpsParams, distance_curves, dps_eval
+from dnlslab.scenarios import load_scenario, smoke_variant
 from dnlslab.timestep import (
     IntegratorSpec,
     Method,
+    States,
     System,
     Trajectory,
     _run_dp54,
@@ -344,3 +347,81 @@ class TestPowerBound:
             assert ok
             if not above:
                 assert np.max(traj.diagnostics["P_a"]) < a_star2 * (1 + 1e-6)
+
+
+class TestTrajectoryArray:
+    """A trajectory is one (samples, N) array; ``states`` builds states on access."""
+
+    @pytest.fixture
+    def on_attractor(self, cfg):
+        ic, _ = _attractor_orbit(cfg)
+        return integrate(System.DNLS, ic, cfg, IntegratorSpec(t_end=10.0, sample_every=0.5))
+
+    def test_states_view_the_array(self, on_attractor):
+        traj = on_attractor
+        assert isinstance(traj.states, States)
+        assert traj.values.shape == (21, 100) and traj.values.dtype == np.complex128
+        assert len(traj.states) == 21
+        last = traj.states[-1]
+        assert isinstance(last, ComplexState) and last.t == traj.times[-1] == 10.0
+        assert np.array_equal(last.values, traj.values[-1])
+        assert np.array_equal(traj.states[-21].values, traj.values[0])
+        with pytest.raises(IndexError):
+            traj.states[21]
+        rows = list(traj.states)
+        assert len(rows) == 21
+        assert [s.t for s in rows] == traj.times.tolist()
+        assert all(np.array_equal(s.values, v) for s, v in zip(rows, traj.values))
+
+    def test_diagnostics_match_the_per_state_forms(self, on_attractor):
+        traj = on_attractor
+        assert traj.diagnostics["P_a"].tolist() == [averaged_power(s) for s in traj.states]
+
+    def test_a_list_of_states_is_stacked(self, cfg, on_attractor):
+        # the benchmark's corrupted copy: every state scaled by 1.01
+        traj = on_attractor
+        assert attractor_verdict(traj, cfg, 1.0).converged
+        scaled = [ComplexState(1.01 * s.values, t=s.t) for s in traj.states]
+        diag = dict(traj.diagnostics, P_a=1.0201 * traj.diagnostics["P_a"])
+        bad = replace(traj, states=scaled, diagnostics=diag)
+        assert isinstance(bad.states, States)
+        assert np.array_equal(bad.values, 1.01 * traj.values)
+        assert bad.states[-1].t == traj.times[-1]
+        assert not attractor_verdict(bad, cfg, 1.0).converged
+
+    def test_verdict_reads_the_modulus_variance_of_the_rows(self, cfg, on_attractor):
+        traj = on_attractor
+        ripple = 1.0 + 0.1 * np.cos(np.pi * node_grid(cfg).x / cfg.L)
+        rippled = replace(traj, states=[ComplexState(ripple * s.values, t=s.t)
+                                        for s in traj.states])
+        assert attractor_verdict(traj, cfg, 1.0).converged
+        assert not attractor_verdict(rippled, cfg, 1.0).converged
+
+    def test_empty_list(self):
+        traj = Trajectory(times=np.empty(0), states=[])
+        assert len(traj.states) == 0
+        assert traj.values.shape == (0, 0)
+        assert list(traj.states) == []
+
+    def test_distance_curves_match_a_per_row_loop(self):
+        # the paired fig12 smoke run of the first variant; the oracle sums
+        # each row with the window selected by a mask, one sample at a time
+        spec = smoke_variant(load_scenario("fig12"))
+        cfg = spec.cfg
+        ic = make_initial_condition(spec.variants[0].ic, cfg)
+        traj_u = integrate(System.DNLS, ic, cfg, spec.integrator)
+        traj_phi = integrate(System.AL, ic, cfg, spec.integrator)
+        times, d_a, d_a_r, n_r = distance_curves(traj_u, traj_phi, cfg, spec.window)
+
+        x = node_grid(cfg).x
+        mask = (x >= spec.window[0]) & (x <= spec.window[1])
+        expected_a, expected_r = [], []
+        for su, sp in zip(traj_u.states, traj_phi.states):
+            diff = su.values - sp.values
+            dens = diff.real**2 + diff.imag**2
+            expected_a.append(math.sqrt(dens.sum() / cfg.N))
+            expected_r.append(math.sqrt(dens[mask].sum() / int(mask.sum())))
+        assert n_r == int(mask.sum()) == 21
+        assert np.array_equal(times, traj_u.times)
+        assert d_a.tolist() == expected_a
+        assert d_a_r.tolist() == expected_r
