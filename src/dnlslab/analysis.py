@@ -257,7 +257,9 @@ def mi_growth_oracle(
     Starts from u_n(0) = (A_* + eps*cos(Q x_n)) exp(i q x_n), demodulates by
     the carrier, and fits the exponential growth of the mode-M amplitude
     |A_M|/(hN) over the linear window [10*eps, 1e-3].  Stable sidebands never
-    enter the window and report rate 0 with grew=False.
+    enter the window and report rate 0 with grew=False.  The run uses the
+    8th-order DOP853 pair: at rtol 1e-9 its steps are limited by accuracy,
+    so the higher order takes fewer right-hand-side evaluations.
     """
     if eps < 0 or eps > 1e-6:
         raise DomainError(f"perturbation amplitude must lie in [0, 1e-6], got {eps}")
@@ -283,7 +285,7 @@ def mi_growth_oracle(
         else:
             t_end = 10.0
 
-    spec = IntegratorSpec(t_end=t_end, method=Method.DP54_ADAPTIVE,
+    spec = IntegratorSpec(t_end=t_end, method=Method.DOP853,
                           dt=1e-3, rtol=1e-9, atol=1e-12, sample_every=sample_every)
     traj = integrate(System.DNLS, ic, run_cfg, spec)
 

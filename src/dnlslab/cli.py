@@ -166,7 +166,9 @@ def run_scenario(
         writer(path, *args)
         manifest.products.append(path.name)
 
-    for variant in spec.variants:
+    def run_variant(variant) -> None:
+        """Integrate one variant and emit its products; its trajectories
+        are freed on return, before the next variant integrates."""
         ic = apply_noise(
             make_initial_condition(variant.ic, cfg), spec.noise_amp, spec.noise_seed
         )
@@ -217,6 +219,9 @@ def run_scenario(
                 carriers = list(range(cfg.N // 2 + 1))
             emit(write_mi_scan_csv, "mi_scan", None, variant.label,
                  [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers])
+
+    for variant in spec.variants:
+        run_variant(variant)
 
     if plot_scripts:
         manifest.products.extend(write_plot_scripts(out_dir, list(spec.outputs)))

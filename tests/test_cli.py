@@ -1,13 +1,17 @@
 """End-to-end CLI runs, product schemas, exit codes, determinism."""
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from dnlslab import cli
 from dnlslab.cli import main
 from dnlslab.core import LatticeConfig
 from dnlslab.products import write_density_csv
-from dnlslab.timestep import System, Trajectory
+from dnlslab.scenarios import load_scenario
+from dnlslab.timestep import Method, System, Trajectory
 
 
 def test_list_scenarios(capsys):
@@ -100,6 +104,23 @@ class TestSimulate:
         out_dir = tmp_path / "mini"
         assert (out_dir / "density.csv").exists()
         assert (out_dir / "spectrum.csv").exists()
+
+    def test_dop853_scenario_file_run(self, tmp_path):
+        # fig9c's integrable run from a file, on the 8th-order pair: the AL
+        # invariant, read back from the density product (h = 1), holds to 1e-8
+        cfgfile = tmp_path / "al853.cfg"
+        cfgfile.write_text(
+            "systems = al\nL = 200\nN = 400\ngamma = 0.0025\ndelta = -0.01\n"
+            "ic = algebraic\nbackground = 0.5\nlam1 = 1\nlam2 = 1\nlam3 = 4\n"
+            "t_end = 40\nsample_every = 0.5\nmethod = dop853\noutputs = densities\n"
+        )
+        assert load_scenario(cfgfile).integrator.method is Method.DOP853
+        assert main(["simulate", "--scenario", str(cfgfile), "--smoke",
+                     "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "al853" / "density.csv", delimiter=",", skiprows=1)
+        invariant = np.log1p(rows[:, 2].reshape(-1, 400)).sum(axis=1)
+        assert invariant.size == 21
+        assert np.max(np.abs(invariant / invariant[0] - 1.0)) < 1e-8
 
     def test_scenario_file_without_gain_loss(self, tmp_path):
         # no critical amplitude exists, so the gate is recorded as not applicable
@@ -324,3 +345,23 @@ def test_empty_trajectory_gives_header_only_csv(tmp_path):
     path = tmp_path / "density.csv"
     write_density_csv(path, traj, cfg)
     assert path.read_text() == "t,x,density\n"
+
+
+def test_previous_variant_freed_before_next_integrates(tmp_path, monkeypatch):
+    # fig12 integrates two systems for each of two variants; the first
+    # variant's trajectories must be gone when the second starts integrating
+    refs, alive = [], []
+    real = cli.integrate
+
+    def recording(*args):
+        if len(refs) == 2:
+            gc.collect()
+            alive.extend(ref() is not None for ref in refs)
+        traj = real(*args)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    assert main(["simulate", "--scenario", "fig12", "--smoke", "--out", str(tmp_path)]) == 0
+    assert len(refs) == 4
+    assert alive == [False, False]

@@ -48,7 +48,8 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
         "sys.meta_path.insert(0, BlockScipy())\n"
         "import numpy as np\n"
         "import dnlslab\n"
-        "from dnlslab.analysis import plane_wave_exact, plane_wave_family\n"
+        "from dnlslab.analysis import (mi_growth_oracle, mi_scan, plane_wave_exact,\n"
+        "                              plane_wave_family)\n"
         "from dnlslab.cli import main\n"
         "from dnlslab.core import LatticeConfig, SechBumpIC, make_initial_condition, node_grid\n"
         "from dnlslab.proximity import build_proximity_report, estimate_I_curve\n"
@@ -57,6 +58,10 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
         "fam = plane_wave_family(5, 0.5, 0.0, small, 1.0)\n"
         "w = plane_wave_exact(fam, node_grid(small), 5.0, small, 1.0)\n"
         "assert np.all(np.isfinite(w.values))\n"
+        "scan = mi_scan(24, small, 1.0, -1.5)\n"
+        "m = int(np.argmax(scan.growth))\n"
+        "fit = mi_growth_oracle(24, m, small, 1.5, -1.5)\n"
+        "assert fit.grew and abs(fit.rate / scan.growth[m] - 1) < 0.05\n"
         "wide = LatticeConfig(L=200.0, N=400, gamma=0.0025, delta=-0.01)\n"
         "curve = estimate_I_curve(wide, 0.0025, -0.01, 90.0, 0.5, np.linspace(0.0, 10.0, 21), 0.25)\n"
         "assert np.all(np.diff(curve) > 0)\n"

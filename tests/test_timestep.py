@@ -33,12 +33,15 @@ from dnlslab.timestep import (
     States,
     System,
     Trajectory,
-    _run_dp54,
+    _run_adaptive,
     averaged_power,
     integrate,
     power_balance_residual,
     power_bound_check,
 )
+
+
+ADAPTIVE = (Method.DP54_ADAPTIVE, Method.DOP853)
 
 
 @pytest.fixture
@@ -130,9 +133,10 @@ class TestIntegrate:
 
     def test_step_failure_on_nan_rhs(self):
         y0 = np.ones(4, dtype=complex)
-        spec = IntegratorSpec(t_end=1.0, sample_every=1.0)
-        with pytest.raises(StepFailure):
-            _run_dp54(lambda y, out: out.fill(np.nan), y0, np.array([0.0, 1.0]), spec)
+        for method in ADAPTIVE:
+            spec = IntegratorSpec(t_end=1.0, method=method, sample_every=1.0)
+            with pytest.raises(StepFailure):
+                _run_adaptive(lambda y, out: out.fill(np.nan), y0, np.array([0.0, 1.0]), spec)
 
 
 _HOOKS = [
@@ -173,16 +177,24 @@ class TestRhsHooks:
         self._run(system, bc, spec)
         assert len(calls) == 2 * 5 * 4
 
-    @pytest.mark.parametrize("system,name,bc", _HOOKS)
-    def test_dp54_evaluations_all_pass_the_hook(self, monkeypatch, system, name, bc):
-        spec = IntegratorSpec(t_end=1.0, sample_every=0.5)
+    def _check_adaptive(self, monkeypatch, system, name, bc, method, per_trial, extra):
+        spec = IntegratorSpec(t_end=1.0, method=method, sample_every=0.5)
         plain = self._run(system, bc, spec)
         calls = _count_hook(monkeypatch, name)
         hooked = self._run(system, bc, spec)
-        # one evaluation before the first step, then six per trial step (FSAL)
-        assert len(calls) > 1 and (len(calls) - 1) % 6 == 0
+        # one evaluation before the first step, per_trial per trial step
+        # (FSAL), and extra for the one step that holds the sample at t = 0.5
+        assert len(calls) > 1 + extra and (len(calls) - 1 - extra) % per_trial == 0
         for a, b in zip(plain.states, hooked.states):
             assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("system,name,bc", _HOOKS)
+    def test_dp54_evaluations_all_pass_the_hook(self, monkeypatch, system, name, bc):
+        self._check_adaptive(monkeypatch, system, name, bc, Method.DP54_ADAPTIVE, 6, 0)
+
+    @pytest.mark.parametrize("system,name,bc", _HOOKS)
+    def test_dop853_evaluations_all_pass_the_hook(self, monkeypatch, system, name, bc):
+        self._check_adaptive(monkeypatch, system, name, bc, Method.DOP853, 12, 3)
 
     @pytest.mark.parametrize("background", [-0.5, math.nan, math.inf])
     def test_bad_background_rejected_before_any_evaluation(self, monkeypatch, background):
@@ -209,12 +221,13 @@ class TestOrderAndTolerance:
         ratio = end_error(0.02) / end_error(0.01)
         assert 14.0 <= ratio <= 18.0
 
-    def test_dp54_respects_tolerance(self):
+    @staticmethod
+    def _check_tolerance(method):
         cfg = LatticeConfig(L=50.0, N=100, gamma=0.1, delta=-0.1)
         ic = make_initial_condition(AlgebraicBumpIC(0.5, 1.0, 1.0, 4.0), cfg)
         rtol, atol = 1e-9, 1e-11
         adaptive = integrate(System.DNLS, ic, cfg,
-                             IntegratorSpec(t_end=10.0, rtol=rtol, atol=atol,
+                             IntegratorSpec(t_end=10.0, method=method, rtol=rtol, atol=atol,
                                             dt=1e-3, sample_every=10.0))
         reference = integrate(System.DNLS, ic, cfg,
                               IntegratorSpec(t_end=10.0, method=Method.RK4_FIXED,
@@ -223,10 +236,40 @@ class TestOrderAndTolerance:
         allowance = 10.0 * (atol + rtol * np.max(np.abs(reference.states[-1].values)))
         assert err < allowance
 
+    def test_dp54_respects_tolerance(self):
+        self._check_tolerance(Method.DP54_ADAPTIVE)
+
+    def test_dop853_respects_tolerance(self):
+        self._check_tolerance(Method.DOP853)
+
+    @pytest.mark.parametrize("K,rtol_dp54,rtol_dop853", [(5, 1e-8, 1e-8), (45, 1e-9, 1e-10)])
+    def test_dop853_work_precision_on_exact_orbit(self, monkeypatch, cfg, K,
+                                                   rtol_dp54, rtol_dop853):
+        # DOP853 takes fewer evaluations for a smaller largest sample error.
+        # On the long-wave carrier that holds at equal rtol.  Near the band
+        # edge DOP853's error at equal rtol is the larger (7e-7 against 1e-7
+        # at 1e-8), so it is compared there at a 10x tighter rtol.
+        ic, fam = _attractor_orbit(cfg, K=K, A0=3.0)
+        calls = _count_hook(monkeypatch, "dnls_rhs_values")
+        a_star = critical_amplitude(cfg.gamma, cfg.delta)
+        work, error = {}, {}
+        for method, rtol in ((Method.DP54_ADAPTIVE, rtol_dp54), (Method.DOP853, rtol_dop853)):
+            calls.clear()
+            traj = integrate(System.DNLS, ic, cfg,
+                             IntegratorSpec(t_end=10.0, method=method, rtol=rtol,
+                                            atol=rtol / 100, sample_every=0.5))
+            work[method] = len(calls)
+            error[method] = max(
+                np.max(np.abs(s.values - plane_wave_exact(fam, node_grid(cfg), t, cfg,
+                                                          a_star).values))
+                for t, s in zip(traj.times, traj.states))
+        assert work[Method.DOP853] < work[Method.DP54_ADAPTIVE]
+        assert error[Method.DOP853] < error[Method.DP54_ADAPTIVE]
+
 
 class TestDenseOutput:
-    """DP54 steps are clamped only at the final time; samples inside a step
-    come from the pair's continuous extension."""
+    """Adaptive steps are clamped only at the final time; samples inside a
+    step come from the pair's continuous extension."""
 
     T_END = 3.0
     GRIDS = (0.1, 0.5, T_END)
@@ -235,38 +278,74 @@ class TestDenseOutput:
     def runs(self):
         cfg = LatticeConfig(L=50.0, N=100, gamma=0.1, delta=-0.1)
         ic = make_initial_condition(AlgebraicBumpIC(0.5, 1.0, 1.0, 4.0), cfg)
-        return {every: integrate(System.DNLS, ic, cfg,
-                                 IntegratorSpec(t_end=self.T_END, sample_every=every))
-                for every in self.GRIDS}
+        return {(method, every): integrate(System.DNLS, ic, cfg,
+                                           IntegratorSpec(t_end=self.T_END, method=method,
+                                                          sample_every=every))
+                for method in ADAPTIVE for every in self.GRIDS}
 
     def test_final_state_independent_of_sampling(self, runs):
-        final = runs[self.T_END].states[-1].values
-        for every in self.GRIDS:
-            assert runs[every].times[-1] == self.T_END
-            assert np.array_equal(runs[every].states[-1].values, final)
+        for method in ADAPTIVE:
+            final = runs[method, self.T_END].states[-1].values
+            for every in self.GRIDS:
+                assert runs[method, every].times[-1] == self.T_END
+                assert np.array_equal(runs[method, every].states[-1].values, final)
 
     def test_shared_sample_times_agree(self, runs):
-        fine, coarse = runs[0.1], runs[0.5]
-        idx = np.searchsorted(fine.times, coarse.times)
-        assert np.allclose(fine.times[idx], coarse.times, rtol=0, atol=1e-12)
-        for i, state in zip(idx, coarse.states):
-            assert np.max(np.abs(fine.states[i].values - state.values)) <= 1e-13
+        for method in ADAPTIVE:
+            fine, coarse = runs[method, 0.1], runs[method, 0.5]
+            idx = np.searchsorted(fine.times, coarse.times)
+            assert np.allclose(fine.times[idx], coarse.times, rtol=0, atol=1e-12)
+            for i, state in zip(idx, coarse.states):
+                assert np.max(np.abs(fine.states[i].values - state.values)) <= 1e-13
 
     def test_interpolation_matrix_is_scipy_rk45(self):
         rk = pytest.importorskip("scipy.integrate._ivp.rk")
-        assert np.array_equal(timestep._DP_P, rk.RK45.P)
+        assert np.array_equal(timestep._DP54.P, rk.RK45.P)
+
+    def test_dop853_tables_are_scipy_dop853(self):
+        coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        pair = timestep._DOP853
+        assert np.array_equal(pair.A, coeffs.A[:13, :13])
+        assert np.array_equal(pair.E, np.array((coeffs.E5, coeffs.E3)))
+        assert np.array_equal(pair.extra, coeffs.A[13:])
+        assert pair.P.shape == (16, 7)
+
+    def test_dop853_interpolant_is_scipy_dense_output(self):
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        rng = np.random.default_rng(3)
+        K = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+        y0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        h = 0.37
+        # scipy's F rows of Dop853DenseOutput for these stages
+        dy = h * (coeffs.B @ K[:12])
+        F = np.vstack((dy, h * K[0] - dy, 2.0 * dy - h * (K[12] + K[0]), h * (coeffs.D @ K)))
+        dense = rk.Dop853DenseOutput(0.0, h, y0, F)
+        for theta in np.linspace(0.0, 1.0, 11):
+            ours = y0 + h * ((timestep._DOP853.P @ np.cumprod(np.full(7, theta))) @ K)
+            assert np.max(np.abs(ours - dense(theta * h))) < 1e-12
 
     @pytest.mark.parametrize("A0", [1.0, 3.0])
-    def test_samples_on_exact_orbit_keep_tolerance(self, cfg, A0):
+    def test_samples_on_exact_orbit_keep_tolerance(self, monkeypatch, cfg, A0):
         ic, fam = _attractor_orbit(cfg, A0=A0)
         rtol, atol = 1e-9, 1e-11
-        traj = integrate(System.DNLS, ic, cfg,
-                         IntegratorSpec(t_end=2.0, sample_every=0.01, rtol=rtol, atol=atol))
         a_star = critical_amplitude(cfg.gamma, cfg.delta)
-        for t, state in zip(traj.times, traj.states):
-            exact = plane_wave_exact(fam, node_grid(cfg), t, cfg, a_star).values
-            allowance = 10.0 * (atol + rtol * np.max(np.abs(exact)))
-            assert np.max(np.abs(state.values - exact)) < allowance
+        calls = _count_hook(monkeypatch, "dnls_rhs_values")
+        for method in ADAPTIVE:
+            calls.clear()
+            traj = integrate(System.DNLS, ic, cfg,
+                             IntegratorSpec(t_end=2.0, method=method, sample_every=0.01,
+                                            rtol=rtol, atol=atol))
+            # DP54 advances its 5th-order solution but estimates the error of
+            # its 4th-order one, so its samples keep one local allowance.
+            # DOP853's blended estimate scales like the error of the 8th-order
+            # solution it advances, with no such margin, so its local errors
+            # add up: the allowance is one per trial, of 12 evaluations each.
+            steps = 1 if method is Method.DP54_ADAPTIVE else len(calls) // 12
+            for t, state in zip(traj.times, traj.states):
+                exact = plane_wave_exact(fam, node_grid(cfg), t, cfg, a_star).values
+                allowance = 10.0 * steps * (atol + rtol * np.max(np.abs(exact)))
+                assert np.max(np.abs(state.values - exact)) < allowance
 
 
 class TestAveragedPower:
