@@ -72,6 +72,12 @@ def _resolve_scenario(args) -> ScenarioSpec:
     return spec
 
 
+def _initial_state(spec: ScenarioSpec, variant):
+    """Initial state of a variant of ``spec``, with the scenario's noise floor."""
+    return apply_noise(make_initial_condition(variant.ic, spec.cfg),
+                       spec.noise_amp, spec.noise_seed)
+
+
 def _first_central_peak(traj, cfg, floor: float) -> float | None:
     """Time of the first local maximum of the central-node density above floor."""
     dens = _center_density(traj, cfg)
@@ -169,9 +175,7 @@ def run_scenario(
     def run_variant(variant) -> None:
         """Integrate one variant and emit its products; its trajectories
         are freed on return, before the next variant integrates."""
-        ic = apply_noise(
-            make_initial_condition(variant.ic, cfg), spec.noise_amp, spec.noise_seed
-        )
+        ic = _initial_state(spec, variant)
         trajs = {system: integrate(system, ic, cfg, spec.integrator) for system in spec.systems}
 
         dps_ref = variant.dps_reference
@@ -315,9 +319,7 @@ def _cmd_attractor_check(args) -> int:
     # manifest describes only that run
     spec = replace(spec, systems=(System.DNLS,), variants=spec.variants[:1])
     cfg = spec.cfg
-    ic = apply_noise(make_initial_condition(spec.variants[0].ic, cfg),
-                     spec.noise_amp, spec.noise_seed)
-    traj = integrate(System.DNLS, ic, cfg, spec.integrator)
+    traj = integrate(System.DNLS, _initial_state(spec, spec.variants[0]), cfg, spec.integrator)
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
     window = args.window if args.window is not None else min(5.0, spec.integrator.t_end / 2)
     verdict = attractor_verdict(traj, cfg, a_star, tol_amp=args.tol_amp, t_window=window)

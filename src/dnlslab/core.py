@@ -31,6 +31,7 @@ from .errors import ConfigError, DomainError, LengthMismatch, WavenumberError
 
 __all__ = [
     "BoundaryKind",
+    "System",
     "LatticeConfig",
     "ComplexState",
     "NodeGrid",
@@ -47,6 +48,7 @@ __all__ = [
     "solvability_gate",
     "generalized_gate",
     "discrete_laplacian",
+    "check_system",
     "dnls_rhs",
     "al_rhs",
     "shifted_rhs",
@@ -249,19 +251,33 @@ def generalized_gate(
 # Right-hand sides
 # ---------------------------------------------------------------------------
 
-def _check_length(values: np.ndarray, cfg: LatticeConfig) -> None:
-    if values.size != cfg.N:
+class System(Enum):
+    """The three lattice systems, named as in scenario files."""
+    DNLS = "dnls"
+    AL = "al"
+    SHIFTED = "shifted"
+
+
+_CLOSURES = {System.DNLS: BoundaryKind.PERIODIC, System.AL: BoundaryKind.PERIODIC,
+             System.SHIFTED: BoundaryKind.DIRICHLET_ZERO}
+
+
+def check_system(system: System, cfg: LatticeConfig, values: np.ndarray | None = None,
+                 background: float | None = None) -> None:
+    """The one rule of what each system runs on: ``cfg`` has its closure, the
+    shifted system has a finite nonnegative ``background`` amplitude (the
+    others ignore it), and ``values``, when given, has one entry per node."""
+    if cfg.bc is not _CLOSURES[system]:
+        raise ConfigError(f"the {system.value} system runs under {_CLOSURES[system].value} "
+                          f"closure only, got {cfg.bc.value}")
+    if system is System.SHIFTED:
+        if background is None:
+            raise ConfigError("the shifted system runs only as integrate(..., background=A)")
+        if not (math.isfinite(background) and background >= 0):
+            raise DomainError(
+                f"background amplitude must be finite and nonnegative, got {background}")
+    if values is not None and values.size != cfg.N:
         raise LengthMismatch(f"state has {values.size} nodes, lattice expects {cfg.N}")
-
-
-def _check_closure(cfg: LatticeConfig, required: BoundaryKind, what: str) -> None:
-    if cfg.bc is not required:
-        raise ConfigError(f"{what} runs under {required.value} closure only, got {cfg.bc.value}")
-
-
-def _check_background(A: float) -> None:
-    if not (math.isfinite(A) and A >= 0):
-        raise DomainError(f"background amplitude must be finite and nonnegative, got {A}")
 
 
 def _neighbor_sum(u: np.ndarray, bc: BoundaryKind, out: np.ndarray | None = None) -> np.ndarray:
@@ -279,8 +295,8 @@ def _neighbor_sum(u: np.ndarray, bc: BoundaryKind, out: np.ndarray | None = None
 
 # The *_rhs_values kernels are the integrator's hot path: each is one
 # neighbour sum plus one complex coefficient array, and none checks its
-# input.  The public wrappers below check closure, length and background on
-# every call; ``timestep.integrate`` checks them once per run.
+# input: the public wrappers below apply ``check_system`` on every call,
+# ``timestep.integrate`` once per run and ``scenarios.ScenarioSpec`` at load.
 #
 # A kernel writes its result into ``out``, which must not overlap the input,
 # and keeps its temporaries in ``work`` (from ``_rhs_workspace``); both are
@@ -345,21 +361,20 @@ def shifted_rhs_values(
 def discrete_laplacian(state: ComplexState, cfg: LatticeConfig) -> ComplexState:
     """k(u_{n+1} - 2u_n + u_{n-1}) per node; linear in its input."""
     u = state.values
-    _check_length(u, cfg)
+    if u.size != cfg.N:
+        raise LengthMismatch(f"state has {u.size} nodes, lattice expects {cfg.N}")
     return ComplexState(cfg.k * (_neighbor_sum(u, cfg.bc) - 2.0 * u), t=state.t)
 
 
 def dnls_rhs(state: ComplexState, cfg: LatticeConfig) -> ComplexState:
     """du_n/dt = i[lap(u) + |u_n|^2 u_n] + gamma*u_n + delta*|u_n|^2 u_n."""
-    _check_closure(cfg, BoundaryKind.PERIODIC, "the unshifted gain/loss lattice")
-    _check_length(state.values, cfg)
+    check_system(System.DNLS, cfg, state.values)
     return ComplexState(dnls_rhs_values(state.values, cfg), t=state.t)
 
 
 def al_rhs(state: ComplexState, cfg: LatticeConfig) -> ComplexState:
     """dphi_n/dt = i[k(phi_{n+1} - 2phi_n + phi_{n-1}) + |phi_n|^2(phi_{n-1} + phi_{n+1})]."""
-    _check_closure(cfg, BoundaryKind.PERIODIC, "the Ablowitz-Ladik lattice")
-    _check_length(state.values, cfg)
+    check_system(System.AL, cfg, state.values)
     return ComplexState(al_rhs_values(state.values, cfg), t=state.t)
 
 
@@ -371,9 +386,7 @@ def shifted_rhs(state: ComplexState, cfg: LatticeConfig, A: float) -> ComplexSta
     computational witness of the solvability obstruction when A is off
     the critical amplitude.
     """
-    _check_closure(cfg, BoundaryKind.DIRICHLET_ZERO, "the background-shifted system")
-    _check_background(A)
-    _check_length(state.values, cfg)
+    check_system(System.SHIFTED, cfg, state.values, A)
     return ComplexState(shifted_rhs_values(state.values, cfg, A), t=state.t)
 
 

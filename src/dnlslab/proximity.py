@@ -40,7 +40,7 @@ __all__ = [
     "build_proximity_report",
 ]
 
-# exp() overflow guard on a bound's whole exponent (1.5 times that of e^{N0}
+# exp() overflow guard on a bound's whole exponent (1.5 times that of e^{N0/h}
 # in the 3/2-power tails); beyond this the bounds are reported as inf.
 _EXP_CLAMP = 700.0
 
@@ -140,23 +140,32 @@ def distance_curves(
     return traj_u.times.copy(), d_a, d_a_r, n_r
 
 
+def _al_tail(N0: float, cfg: LatticeConfig) -> float:
+    """Distance growth rate owed to the integrable lattice's cubic term.
+
+    In the lattice norm ||v||_inf^2 <= ||v||^2 / h, so the term is at most
+    2 ||phi||_inf^2 ||phi|| <= 2 ||phi||^3 / h = 2 sqrt(h) (e^{N0/h} - 1)^(3/2)
+    with ||phi||^2 at ``al_norm_bound``.  The same step bounds the gain/loss
+    lattice's cubic term by (delta^2+1)^(1/2) ||u||^3 / h.
+    """
+    if 1.5 * N0 / cfg.h > _EXP_CLAMP:
+        return math.inf
+    return 2.0 * al_norm_bound(N0, cfg) ** 1.5 / cfg.h
+
+
 def estimate_II_rate(
     cfg: LatticeConfig, gamma: float, delta: float, A_star: float, N0: float
 ) -> float:
     """Linear growth rate of the explicit distance envelope:
 
         alpha = gamma A_* sqrt(Nh) + sqrt(delta^2+1) sqrt(h) A_*^3 N^(3/2)
-                + 2 sqrt(h) (e^{N0/h} - 1)^(3/2)
+                + 2 sqrt(h) (e^{N0/h} - 1)^(3/2),
+    the bounds of ``_al_tail`` with ||u|| <= A_* sqrt(Nh).
     """
-    if N0 < 0:
-        raise DomainError(f"the invariant is nonnegative, got {N0}")
-    expo = N0 / cfg.h
-    tail = (math.inf if 1.5 * expo > _EXP_CLAMP
-            else 2.0 * math.sqrt(cfg.h) * math.expm1(expo) ** 1.5)
     return (
         gamma * A_star * math.sqrt(cfg.N * cfg.h)
         + math.sqrt(delta * delta + 1.0) * math.sqrt(cfg.h) * A_star**3 * cfg.N**1.5
-        + tail
+        + _al_tail(N0, cfg)
     )
 
 
@@ -183,12 +192,13 @@ def estimate_I_curve(
 ) -> np.ndarray:
     """Quadrature form of the distance envelope:
 
-        F(t) = ||u(0)-phi(0)|| + gamma F1(t) + sqrt(delta^2+1) F2(t)
-               + 2 (e^{N0} - 1)^(3/2) t,
+        F(t) = ||u(0)-phi(0)|| + gamma F1(t) + sqrt(delta^2+1) F2(t) / h
+               + 2 sqrt(h) (e^{N0/h} - 1)^(3/2) t,
         F1 = int sqrt(B),  F2 = int B^(3/2),
 
-    valid under the hypothesis nu*gamma > beta, i.e. the gain/loss run must
-    start below the critical averaged power.
+    the bounds of ``_al_tail`` with ||u(s)||^2 <= B(s).  It is valid under
+    the hypothesis nu*gamma > beta, i.e. the gain/loss run must start below
+    the critical averaged power.
 
     F1 and F2 are integrated from 0 by a composite 12-node Gauss-Legendre
     rule and accumulated with one cumulative sum.  The poles of
@@ -204,8 +214,7 @@ def estimate_I_curve(
         raise DomainError("the distance envelopes require gamma > 0 and delta < 0")
     if not (u0_norm_sq > 0):
         raise DomainError("the gain/loss run must start from a nonzero state")
-    if N0 < 0:
-        raise DomainError(f"the invariant is nonnegative, got {N0}")
+    tail_coeff = _al_tail(N0, cfg)
     B, nu, beta = _power_envelope(cfg, gamma, delta, u0_norm_sq)
     if nu * gamma <= beta:
         raise HypothesisViolated(
@@ -232,11 +241,10 @@ def estimate_I_curve(
     f2 = np.concatenate(([0.0], np.cumsum(half * ((root * b) @ weights))))
     at = np.searchsorted(edges, times)
 
-    tail_coeff = math.inf if 1.5 * N0 > _EXP_CLAMP else 2.0 * math.expm1(N0) ** 1.5
     # only where t > 0: an infinite coefficient times t = 0 would be nan
     tail = np.multiply(tail_coeff, times, out=np.zeros_like(times), where=times > 0)
-    return (initial_distance + gamma * f1[at] + math.sqrt(delta * delta + 1.0) * f2[at]
-            + tail)
+    return (initial_distance + gamma * f1[at]
+            + math.sqrt(delta * delta + 1.0) * f2[at] / cfg.h + tail)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,13 @@ from .core import (
     LatticeConfig,
     PlaneWaveIC,
     SechBumpIC,
+    System,
+    check_system,
     make_initial_condition,
 )
 from .errors import ParseError, ValidationError, ValidationFailure
 from .proximity import DpsParams, unit_spacing
-from .timestep import IntegratorSpec, Method, System
+from .timestep import IntegratorSpec, Method
 
 __all__ = [
     "ScenarioVariant",
@@ -77,6 +79,9 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.systems:
             raise ValidationError("scenario must name at least one system")
+        # as run_scenario integrates them: with no background
+        for system in self.systems:
+            check_system(system, self.cfg)
         if not self.variants:
             raise ValidationError("scenario must define at least one initial condition")
         for out in self.outputs:

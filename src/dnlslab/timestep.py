@@ -20,9 +20,9 @@ step size.  Every per-step array lives in a buffer allocated once per run,
 and the kernels write into them.
 
 The right-hand sides are the unchecked ``*_rhs_values`` kernels of ``core``;
-``integrate`` checks closure, length and background once per run and then
-calls the kernels through this module's names, with positional arguments
-only, on every evaluation.
+``integrate`` applies ``core.check_system`` once per run and then calls the
+kernels through this module's names, with positional arguments only, on
+every evaluation.
 
 Trajectories are sampled on multiples of ``sample_every`` (plus the final
 time), never at every internal step; diagnostics are evaluated on the
@@ -59,25 +59,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    BoundaryKind,
     ComplexState,
     LatticeConfig,
-    _check_background,
-    _check_closure,
+    System,
     _rhs_workspace,
     al_invariant,
     al_rhs_values,
+    check_system,
     dnls_rhs_values,
     shifted_rhs_values,
 )
-from .errors import (
-    BlowUpDetected,
-    ConfigError,
-    DomainError,
-    LengthMismatch,
-    NeedThreeSamples,
-    StepFailure,
-)
+from .errors import BlowUpDetected, ConfigError, DomainError, NeedThreeSamples, StepFailure
 
 __all__ = [
     "Method",
@@ -104,12 +96,6 @@ class Method(Enum):
     RK4_FIXED = "rk4"
     DP54_ADAPTIVE = "dp54"
     DOP853 = "dop853"
-
-
-class System(Enum):
-    DNLS = "dnls"
-    AL = "al"
-    SHIFTED = "shifted"
 
 
 @dataclass(frozen=True)
@@ -487,10 +473,8 @@ def _run_adaptive(rhs, y: np.ndarray, sample_times: np.ndarray,
         else:
             # A rejected trial that lands finitely beyond the guard is a
             # genuine collapse, not a tolerance problem.
-            if math.isfinite(peak) and peak > BLOWUP_THRESHOLD:
-                raise BlowUpDetected(
-                    f"node modulus exceeded {BLOWUP_THRESHOLD:g} at t = {t:.6g}"
-                )
+            if math.isfinite(peak):
+                _check_blowup(peak, t)
             h_prop = h * min(1.0, max(0.2, 0.9 * ratio ** expo))
     # the final time, and any sample time within the stopping tolerance of it
     samples[nxt:] = y
@@ -514,29 +498,16 @@ def integrate(
     and is ignored elsewhere.  Raises BlowUpDetected if any node modulus
     exceeds the guard threshold and StepFailure on adaptive-step underflow.
     """
-    if len(ic) != cfg.N:
-        raise LengthMismatch(f"initial state has {len(ic)} nodes, lattice expects {cfg.N}")
-
-    # The *_rhs_values kernels check nothing, so closure and background are
-    # checked here, once.  The kernels are looked up in this module on every
-    # evaluation and called with positional arguments only; ``work`` is the
-    # kernels' scratch for the run, and ``out`` (allocated when omitted)
-    # receives the derivative.
+    check_system(system, cfg, ic.values, background)
+    # ``work`` is the kernels' scratch for the run; ``out`` (allocated when
+    # omitted) receives the derivative.
     work = _rhs_workspace(cfg.N)
     if system is System.DNLS:
-        _check_closure(cfg, BoundaryKind.PERIODIC, "the unshifted gain/loss lattice")
         rhs = lambda y, out=None: dnls_rhs_values(y, cfg, out, work)
     elif system is System.AL:
-        _check_closure(cfg, BoundaryKind.PERIODIC, "the Ablowitz-Ladik lattice")
         rhs = lambda y, out=None: al_rhs_values(y, cfg, out, work)
-    elif system is System.SHIFTED:
-        if background is None:
-            raise ConfigError("the shifted system requires the background amplitude")
-        _check_background(background)
-        _check_closure(cfg, BoundaryKind.DIRICHLET_ZERO, "the background-shifted system")
-        rhs = lambda y, out=None: shifted_rhs_values(y, cfg, background, out, work)
     else:
-        raise ConfigError(f"unknown system: {system!r}")
+        rhs = lambda y, out=None: shifted_rhs_values(y, cfg, background, out, work)
 
     sample_times = _sample_grid(spec) + ic.t
     if spec.method is Method.RK4_FIXED:

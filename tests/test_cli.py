@@ -9,6 +9,7 @@ import pytest
 from dnlslab import cli
 from dnlslab.cli import main
 from dnlslab.core import LatticeConfig
+from dnlslab.errors import ValidationError
 from dnlslab.products import write_density_csv
 from dnlslab.scenarios import load_scenario
 from dnlslab.timestep import Method, System, Trajectory
@@ -55,6 +56,17 @@ NON_FINITE_SETTINGS = {
     "dps_t0 = nan": "densities, center_density",
     "window_lo = nan": "densities, proximity\nsystems = dnls, al",
     "noise_amp = nan": "densities",
+}
+
+
+# Systems on a closure they do not run under, and the shifted system, which
+# only integrate(..., background=A) runs: a scenario's initial condition is the
+# unshifted field.
+SYSTEM_RULE_BREAKS = {
+    "dnls_dirichlet": "systems = dnls\nbc = dirichlet_zero\n",
+    "al_dirichlet": "systems = al\nbc = dirichlet_zero\n",
+    "dnls_then_shifted": "systems = dnls, shifted\n",
+    "shifted_dirichlet": "systems = shifted\nbc = dirichlet_zero\n",
 }
 
 
@@ -184,6 +196,29 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
         assert message in capsys.readouterr().err
         assert not (out_root / "precondition").exists()
+
+    @pytest.mark.parametrize("rule", list(SYSTEM_RULE_BREAKS))
+    def test_system_rule_rejected_at_load(self, tmp_path, capsys, rule):
+        plane_wave = ("name = rule\nL = 25\nN = 50\ngamma = 1.5\ndelta = -1.5\n"
+                      "ic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+                      "t_end = 1\nsample_every = 0.5\n")
+        cfgfile = tmp_path / "rule.cfg"
+        cfgfile.write_text(plane_wave + SYSTEM_RULE_BREAKS[rule])
+        with pytest.raises(ValidationError):
+            load_scenario(cfgfile)
+        out_root = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
+        assert not (out_root / "rule").exists()
+        # an earlier run of the same name keeps its manifest and products
+        (tmp_path / "good.cfg").write_text(plane_wave)
+        assert main(["simulate", "--scenario", str(tmp_path / "good.cfg"),
+                     "--out", str(out_root)]) == 0
+        before = {p.name: p.read_bytes() for p in (out_root / "rule").iterdir()}
+        assert set(before) == {"density.csv", "manifest.json"}
+        assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
+        assert {p.name: p.read_bytes() for p in (out_root / "rule").iterdir()} == before
+        err = capsys.readouterr().err
+        assert "closure only" in err or "integrate(..., background=A)" in err
 
     def test_rerun_leaves_only_listed_products(self, tmp_path):
         def listed_exactly():

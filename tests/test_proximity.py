@@ -310,6 +310,20 @@ class TestEstimateI:
         curve = estimate_I_curve(cfg_wide, 0.0025, -0.01, u0_norm_sq, 0.0, times, 0.25)
         np.testing.assert_allclose(curve, expected, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("N", [50, 100, 200])  # h = 2, 1, 0.5
+    def test_tail_and_limit_slope_match_estimate_II(self, N):
+        # N0 enters both envelopes only through the integrable lattice's tail,
+        # and once B has reached its limit A_*^2 N h (by t = 40: B converges
+        # like e^{-2 gamma t}) estimate I grows at estimate II's rate
+        cfg = LatticeConfig(L=50.0, N=N, gamma=1.5, delta=-1.5)
+        times = np.array([0.0, 40.0, 50.0])
+        curve = estimate_I_curve(cfg, 1.5, -1.5, 1.0, 0.3, times)
+        no_tail = estimate_I_curve(cfg, 1.5, -1.5, 1.0, 0.0, times)
+        alpha = estimate_II_rate(cfg, 1.5, -1.5, 1.0, 0.3)
+        tail = alpha - estimate_II_rate(cfg, 1.5, -1.5, 1.0, 0.0)
+        assert (curve[2] - no_tail[2]) / 50.0 == pytest.approx(tail, rel=1e-10)
+        assert (curve[2] - curve[1]) / 10.0 == pytest.approx(alpha, rel=1e-9)
+
     def test_infinite_tail_leaves_the_start_at_the_initial_distance(self, cfg_wide):
         # N0 > 700 makes the tail coefficient infinite; at t = 0 it must not
         # turn F(0) into inf * 0 = nan

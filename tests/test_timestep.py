@@ -11,12 +11,15 @@ from dnlslab.core import (
     ComplexState,
     LatticeConfig,
     PlaneWaveIC,
+    al_rhs,
     critical_amplitude,
+    dnls_rhs,
     make_initial_condition,
     node_grid,
+    shifted_rhs,
 )
 from dnlslab.analysis import attractor_verdict, plane_wave_family, plane_wave_exact
-from dnlslab import timestep
+from dnlslab import core, timestep
 from dnlslab.errors import (
     BlowUpDetected,
     ConfigError,
@@ -24,9 +27,10 @@ from dnlslab.errors import (
     LengthMismatch,
     NeedThreeSamples,
     StepFailure,
+    ValidationFailure,
 )
 from dnlslab.proximity import DpsParams, distance_curves, dps_eval
-from dnlslab.scenarios import load_scenario, smoke_variant
+from dnlslab.scenarios import ScenarioSpec, ScenarioVariant, load_scenario, smoke_variant
 from dnlslab.timestep import (
     IntegratorSpec,
     Method,
@@ -137,6 +141,45 @@ class TestIntegrate:
             spec = IntegratorSpec(t_end=1.0, method=method, sample_every=1.0)
             with pytest.raises(StepFailure):
                 _run_adaptive(lambda y, out: out.fill(np.nan), y0, np.array([0.0, 1.0]), spec)
+
+
+class TestSystemRule:
+    """``core.check_system`` is the one rule of the closure each system runs
+    under, for the RHS wrappers, ``integrate`` and ``ScenarioSpec`` alike."""
+
+    def test_system_is_defined_once(self):
+        assert timestep.System is core.System
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            run()
+        except ValidationFailure as exc:
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("system", list(System))
+    def test_wrappers_integrate_and_scenarios_agree(self, system, bc):
+        cfg = LatticeConfig(L=8.0, N=16, gamma=0.5, delta=-0.5, bc=bc)
+        bump = AlgebraicBumpIC(0.2, 0.3, 1.0, 1.0)
+        ic = make_initial_condition(bump, cfg)
+        spec = IntegratorSpec(t_end=0.01, sample_every=0.01)
+        wrapper = {System.DNLS: lambda: dnls_rhs(ic, cfg), System.AL: lambda: al_rhs(ic, cfg),
+                   System.SHIFTED: lambda: shifted_rhs(ic, cfg, 0.5)}[system]
+        with_background = self._outcome(
+            lambda: integrate(system, ic, cfg, spec, background=0.5))
+        # run_scenario passes integrate no background
+        without_background = self._outcome(lambda: integrate(system, ic, cfg, spec))
+        scenario = self._outcome(lambda: ScenarioSpec(
+            name="rule", description="", systems=(system,), cfg=cfg,
+            variants=(ScenarioVariant("main", bump),), integrator=spec,
+            outputs=("densities",), background=0.2))
+        closure_fits = (bc is BoundaryKind.DIRICHLET_ZERO) == (system is System.SHIFTED)
+        assert self._outcome(wrapper) == with_background
+        assert (with_background is None) == closure_fits
+        assert scenario == without_background
+        assert (scenario is None) == (closure_fits and system is not System.SHIFTED)
 
 
 _HOOKS = [
