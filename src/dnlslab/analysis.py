@@ -26,6 +26,7 @@ from .core import (
     LatticeConfig,
     NodeGrid,
     _validate_mode,
+    check_length,
     critical_amplitude,
     node_grid,
 )
@@ -320,8 +321,7 @@ class SpectrumFrame:
 
 def spectrum(state: ComplexState, cfg: LatticeConfig) -> SpectrumFrame:
     """N-point DFT of a state; dominant mode ties break toward smaller K."""
-    if len(state) != cfg.N:
-        raise DomainError(f"state has {len(state)} nodes, lattice expects {cfg.N}")
+    check_length(state.values, cfg)
     coeffs = cfg.h * np.fft.fft(state.values)
     return SpectrumFrame(t=state.t, coeffs=coeffs,
                          dominant_mode=int(np.argmax(np.abs(coeffs))))

@@ -49,6 +49,7 @@ __all__ = [
     "generalized_gate",
     "discrete_laplacian",
     "check_system",
+    "check_length",
     "dnls_rhs",
     "al_rhs",
     "shifted_rhs",
@@ -276,7 +277,13 @@ def check_system(system: System, cfg: LatticeConfig, values: np.ndarray | None =
         if not (math.isfinite(background) and background >= 0):
             raise DomainError(
                 f"background amplitude must be finite and nonnegative, got {background}")
-    if values is not None and values.size != cfg.N:
+    if values is not None:
+        check_length(values, cfg)
+
+
+def check_length(values: np.ndarray, cfg: LatticeConfig) -> None:
+    """The one rule of state length: one entry per lattice node."""
+    if values.size != cfg.N:
         raise LengthMismatch(f"state has {values.size} nodes, lattice expects {cfg.N}")
 
 
@@ -361,8 +368,7 @@ def shifted_rhs_values(
 def discrete_laplacian(state: ComplexState, cfg: LatticeConfig) -> ComplexState:
     """k(u_{n+1} - 2u_n + u_{n-1}) per node; linear in its input."""
     u = state.values
-    if u.size != cfg.N:
-        raise LengthMismatch(f"state has {u.size} nodes, lattice expects {cfg.N}")
+    check_length(u, cfg)
     return ComplexState(cfg.k * (_neighbor_sum(u, cfg.bc) - 2.0 * u), t=state.t)
 
 

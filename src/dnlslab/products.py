@@ -77,10 +77,15 @@ def _write_long(path: Path, header: tuple[str, ...], fmt: str, keys: np.ndarray,
             fh.write((lead_fmt % lead).join(parts) % tuple(values.tolist()))
 
 
+def _center(traj: Trajectory, cfg: LatticeConfig) -> np.ndarray:
+    """The central node (x = 0) at every sample, none for an empty trajectory."""
+    return traj.values.reshape(-1, cfg.N)[:, central_node_index(cfg)]
+
+
 def _center_density(traj: Trajectory, cfg: LatticeConfig) -> np.ndarray:
     """Density |u|^2 of the central node (x = 0) at every sample."""
     # abs(v) ** 2 per numpy scalar: np.abs(column) ** 2 differs in the last bit
-    return np.array([abs(v) ** 2 for v in traj.values[:, central_node_index(cfg)]])
+    return np.array([abs(v) ** 2 for v in _center(traj, cfg)])
 
 
 def write_density_csv(path: Path, traj: Trajectory, cfg: LatticeConfig) -> None:
@@ -98,7 +103,7 @@ def write_spectrum_csv(path: Path, traj: Trajectory, cfg: LatticeConfig) -> None
 
 def write_phase_plane_csv(path: Path, traj: Trajectory, cfg: LatticeConfig) -> None:
     """Trace of the central node (x = 0) in the complex plane."""
-    center = traj.values[:, central_node_index(cfg)]
+    center = _center(traj, cfg)
     block = np.column_stack((traj.times, center.real, center.imag))
     _write_table(path, ("t", "re_center", "im_center"), "%.17g,%.17g,%.17g", block)
 
@@ -220,7 +225,6 @@ import matplotlib.pyplot as plt
 for path in sys.argv[1:]:
     data = np.genfromtxt(path, delimiter=",", names=True)
     plt.plot(data["re_center"], data["im_center"], lw=0.8, label=path)
-theta = np.linspace(0, 2 * np.pi, 256)
 plt.gca().set_aspect("equal")
 plt.xlabel("Re u_c"); plt.ylabel("Im u_c"); plt.legend(fontsize=7)
 plt.tight_layout(); plt.show()

@@ -1,23 +1,23 @@
 """Time integration of the lattice systems with per-sample diagnostics.
 
-Three steppers are provided: classic fixed-step RK4 and two adaptive
+Three methods are provided: classic fixed-step RK4 and two adaptive
 embedded pairs with FSAL, Dormand-Prince 5(4) (DP54) and Dormand and
 Prince's 8th-order DOP853.  Step-size control uses the max-norm of the
 embedded error estimate measured against atol + rtol*|state| per node;
 DOP853 blends its 5th- and 3rd-order estimates into one ratio.
 
-Both pairs run through one driver, ``_run_adaptive``, with one step loop,
-final-time clamp, underflow and collapse guards, blow-up check, controller
-and sampling.  A pair is a ``_Pair`` record: its padded tableau with the
-update as the last row, its error rows, its extra-stage rows and its
-interpolation matrix.  The driver keeps the stage derivatives in one
-preallocated complex buffer ``K`` (7 rows for DP54, 16 for DOP853); row s is
-stage s, and the derivative at the accepted update is copied into row 0 for
-the next step (FSAL).  Read as a float64 array, with real and imaginary
-parts interleaved, the buffer turns each stage input, the update and each
-error estimate into one real dot product with a tableau row scaled by the
-step size.  Every per-step array lives in a buffer allocated once per run,
-and the kernels write into them.
+One driver, ``_run``, runs all three methods: one step loop, final-time
+clamp, underflow and collapse guards, blow-up check, controller and
+sampling.  A method is a ``_Tableau`` record of its padded tableau (the
+update as the last row), error rows, extra-stage rows and interpolation
+matrix; RK4 has no error rows, so it accepts every step at one step size.
+The driver keeps the stage derivatives in one preallocated complex buffer
+``K``; row s is stage s, and the derivative at the accepted update is
+copied into row 0 for the next step (FSAL).  Read as a float64 array, with
+real and imaginary parts interleaved, the buffer turns each stage input,
+the update and each error estimate into one real dot product with a
+tableau row scaled by the step size.  Every per-step array lives in a
+buffer allocated once per run, and the kernels write into them.
 
 The right-hand sides are the unchecked ``*_rhs_values`` kernels of ``core``;
 ``integrate`` applies ``core.check_system`` once per run and then calls the
@@ -26,17 +26,16 @@ every evaluation.
 
 Trajectories are sampled on multiples of ``sample_every`` (plus the final
 time), never at every internal step; diagnostics are evaluated on the
-sampling grid.  RK4 steps land on every sample time.  Adaptive steps are
-shortened only to land on the final time: a sample time inside an accepted
-step is filled from the pair's continuous extension (Hairer, Norsett and
-Wanner, Solving ODEs I, Sec. II.6), an interpolant linear in the step's
-stages, y(t + theta*h) = y(t) + h * sum_s (P @ [theta, theta^2, ...])_s K_s.
-DP54's is fourth order and uses the seven stages of the step.  DOP853's is
-seventh order and also needs three extra stages, evaluated only in an
-accepted step that contains a sample time; its (16, 7) matrix ``P`` is built
-at import from the update row and Hairer's four dense-output rows.  So the
-step sequence, and the state at every step and at the final time, do not
-depend on ``sample_every``.
+sampling grid.  Steps are shortened only to land on the final time: a
+sample time inside a step is filled from the method's continuous extension
+(Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.6), an interpolant
+linear in the step's stages, y(t + theta*h) = y(t) + h * sum_s (P @ [theta,
+theta^2, ...])_s K_s.  RK4's is third order and DP54's fourth order.
+DOP853's is seventh order and also needs three extra stages, evaluated only
+in an accepted step that contains a sample time; its (16, 7) matrix ``P`` is
+built at import from the update row and Hairer's four dense-output rows.
+The adaptive pairs' steps, and their state at every step and at the final
+time, do not depend on ``sample_every``.
 
 The catalog scenarios integrate with DP54 (``IntegratorSpec``'s default);
 ``analysis.mi_growth_oracle`` integrates with DOP853.
@@ -104,7 +103,7 @@ class IntegratorSpec:
 
     t_end: float
     method: Method = Method.DP54_ADAPTIVE
-    dt: float = 1e-3        # fixed step (RK4) or initial step (adaptive pairs)
+    dt: float = 1e-3  # first step; RK4's step is the largest up to dt dividing sample_every
     rtol: float = 1e-9
     atol: float = 1e-11
     sample_every: float = 0.1
@@ -181,15 +180,15 @@ def _lower(rows, width: int) -> np.ndarray:
     return out
 
 
-class _Pair(NamedTuple):
-    """An embedded Runge-Kutta pair with FSAL and a continuous extension.
+class _Tableau(NamedTuple):
+    """A Runge-Kutta method with FSAL and a continuous extension.
 
     ``A`` is the padded (S, S) tableau: row s holds the weights of stages
     0..s-1 in the input of stage s.  Row S-1 is the update, whose derivative
     is stage S-1 and the next step's stage 0 (FSAL).  Each row of ``E``
-    weights the S stages into one embedded error estimate.  Row i of
-    ``extra`` gives the input of stage S+i, a stage that only the
-    interpolant uses.  Inside an accepted step from t to t + h,
+    weights the S stages into one embedded error estimate; without any, the
+    method takes fixed steps.  Row i of ``extra`` gives the input of stage
+    S+i, a stage that only the interpolant uses.  Inside a step from t to t + h,
         y(t + theta*h) = y(t) + h * sum_s (P @ [theta, theta^2, ...])_s K_s
     over all S + len(extra) stages.  After a step with error ratio r the
     controller scales h by 0.9 * r**exponent, by at most ``max_growth``.
@@ -203,9 +202,21 @@ class _Pair(NamedTuple):
     max_growth: float
 
 
+# Classic RK4 (Solving ODEs I, Sec. II.1) with its third-order continuous
+# extension (Sec. II.6), whose weights at theta = 1 are the update's.
+_RK4 = _Tableau(
+    A=_lower(((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0), (1 / 6, 1 / 3, 1 / 3, 1 / 6)), 5),
+    E=np.zeros((0, 5)),
+    extra=np.zeros((0, 5)),
+    P=np.array(((1.0, -1.5, 2 / 3), (0.0, 1.0, -2 / 3), (0.0, 1.0, -2 / 3),
+                (0.0, -0.5, 2 / 3), (0.0, 0.0, 0.0))),
+    exponent=0.0,
+    max_growth=1.0,
+)
+
 # Dormand-Prince 5(4) (Hairer, Norsett and Wanner, Solving ODEs I, Sec. II.5)
 # with its fourth-order continuous extension (Sec. II.6).
-_DP54 = _Pair(
+_DP54 = _Tableau(
     A=_lower((
         (),
         (1 / 5,),
@@ -315,7 +326,7 @@ def _dop853_interpolant() -> np.ndarray:
     return F.T @ basis[:, 1:]
 
 
-_DOP853 = _Pair(
+_DOP853 = _Tableau(
     A=_DOP853_A,
     E=np.array((_DOP853_E5, _DOP853_E3)),
     extra=_lower((
@@ -334,7 +345,7 @@ _DOP853 = _Pair(
     max_growth=10.0,
 )
 
-_PAIRS = {Method.DP54_ADAPTIVE: _DP54, Method.DOP853: _DOP853}
+_TABLEAUS = {Method.RK4_FIXED: _RK4, Method.DP54_ADAPTIVE: _DP54, Method.DOP853: _DOP853}
 
 
 def _check_blowup(peak: float, t: float) -> None:
@@ -354,39 +365,16 @@ def _sample_grid(spec: IntegratorSpec) -> np.ndarray:
     return ts
 
 
-def _run_rk4(rhs, y: np.ndarray, sample_times: np.ndarray, dt: float) -> np.ndarray:
-    samples = np.empty((sample_times.size, y.size), dtype=np.complex128)
-    samples[0] = y
-    t = sample_times[0]
-    for i, t_target in enumerate(sample_times[1:], start=1):
-        seg = t_target - t
-        nsteps = max(1, math.ceil(seg / dt - 1e-9))
-        h = seg / nsteps
-        for _ in range(nsteps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t_target
-        _check_blowup(float(np.max(np.abs(y))), t)
-        samples[i] = y
-    return samples
-
-
-def _run_adaptive(rhs, y: np.ndarray, sample_times: np.ndarray,
-                  spec: IntegratorSpec) -> np.ndarray:
-    """Adaptive run of ``spec.method``'s pair; ``rhs(y, out)`` writes the
-    derivative at y into out.
+def _run(rhs, y: np.ndarray, sample_times: np.ndarray, spec: IntegratorSpec) -> np.ndarray:
+    """Run ``spec.method``'s tableau; ``rhs(y, out)`` writes the derivative
+    at y into out.
 
     Returns the states at ``sample_times`` as one (samples, N) array.  Only
     the step that would pass the final time is shortened; earlier sample
     times are interpolated inside the accepted step that covers them, after
-    the pair's extra stages for that step.
+    the method's extra stages for that step.
     """
-    pair = _PAIRS[spec.method]
-    A, E, X, P = pair.A, pair.E, pair.extra, pair.P
-    grow, expo = pair.max_growth, pair.exponent
+    A, E, X, P, expo, grow = _TABLEAUS[spec.method]
     n = y.size
     last = sample_times.size - 1
     samples = np.empty((sample_times.size, n), dtype=np.complex128)
@@ -394,7 +382,6 @@ def _run_adaptive(rhs, y: np.ndarray, sample_times: np.ndarray,
     t = sample_times[0]
     t_end = sample_times[-1]
     t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
-    h_prop = spec.dt
     S = len(A)  # stages of a step; stage S-1 is the derivative at the update
     K = np.empty((len(P), n), dtype=np.complex128)
     Kr = K.view(np.float64)  # stage s is row s, real and imaginary parts interleaved
@@ -405,12 +392,15 @@ def _run_adaptive(rhs, y: np.ndarray, sample_times: np.ndarray,
     w_up, ks_up, K_up = hA[S - 1, :S - 1], Kr[:S - 1], K[S - 1]
     extras = [(hX[i, :s], Kr[:s], K[s]) for i, s in enumerate(range(S, len(K)))]
     # the error estimates as interleaved floats (err) and as complex (err_c):
-    # the first, and DOP853's 3rd-order one as ``second``
+    # ``first``, absent for fixed steps, and DOP853's 3rd-order ``second``
     KrS = Kr[:S]
     err = np.empty((len(E), 2 * n))
     err_c = err.view(np.complex128)
-    w_err, err0, err0_c = hE[0], err[0], err_c[0]
+    first = (hE[0], err[0], err_c[0]) if len(E) else None
     second = (hE[1], err[1], err_c[1]) if len(E) == 2 else None
+    # fixed steps: the largest step up to dt that divides sample_every
+    h_prop = spec.dt if first else spec.sample_every / math.ceil(
+        spec.sample_every / spec.dt - 1e-9)
     degree = P.shape[1]
     acc = np.empty(2 * n)  # one stage sum as interleaved floats
     acc_c = acc.view(np.complex128)
@@ -438,16 +428,19 @@ def _run_adaptive(rhs, y: np.ndarray, sample_times: np.ndarray,
             rhs(np.add(y, acc_c, y_stage), k)
         np.dot(w_up, ks_up, acc)
         rhs(np.add(y, acc_c, y_new), K_up)
-        # the max-norm of each estimate over atol + rtol*|y|
-        np.multiply(E, h, hE)
-        np.dot(w_err, KrS, err0)
-        ratio = float(np.divide(np.abs(err0_c, ratios), scale, ratios).max())
-        if second:
-            w, e, e_c = second
+        ratio = 0.0  # a fixed-step tableau accepts every step
+        if first:
+            # the max-norm of each estimate over atol + rtol*|y|
+            np.multiply(E, h, hE)
+            w, e, e_c = first
             np.dot(w, KrS, e)
-            e3 = float(np.divide(np.abs(e_c, ratios), scale, ratios).max())
-            # DOP853 blends its 5th- and 3rd-order estimates (Sec. II.10)
-            ratio = ratio * ratio / math.sqrt(ratio * ratio + 0.01 * e3 * e3) if ratio else 0.0
+            ratio = float(np.divide(np.abs(e_c, ratios), scale, ratios).max())
+            if second:
+                w, e, e_c = second
+                np.dot(w, KrS, e)
+                e3 = float(np.divide(np.abs(e_c, ratios), scale, ratios).max())
+                # DOP853 blends its 5th- and 3rd-order estimates (Sec. II.10)
+                ratio = ratio * ratio / math.sqrt(ratio * ratio + 0.01 * e3 * e3) if ratio else 0.0
         peak = float(np.abs(y_new, abs_new).max())
         if ratio <= 1.0:
             t_old = t
@@ -499,21 +492,17 @@ def integrate(
     exceeds the guard threshold and StepFailure on adaptive-step underflow.
     """
     check_system(system, cfg, ic.values, background)
-    # ``work`` is the kernels' scratch for the run; ``out`` (allocated when
-    # omitted) receives the derivative.
+    # ``work`` is the kernels' scratch for the run; ``out`` receives the derivative.
     work = _rhs_workspace(cfg.N)
     if system is System.DNLS:
-        rhs = lambda y, out=None: dnls_rhs_values(y, cfg, out, work)
+        rhs = lambda y, out: dnls_rhs_values(y, cfg, out, work)
     elif system is System.AL:
-        rhs = lambda y, out=None: al_rhs_values(y, cfg, out, work)
+        rhs = lambda y, out: al_rhs_values(y, cfg, out, work)
     else:
-        rhs = lambda y, out=None: shifted_rhs_values(y, cfg, background, out, work)
+        rhs = lambda y, out: shifted_rhs_values(y, cfg, background, out, work)
 
     sample_times = _sample_grid(spec) + ic.t
-    if spec.method is Method.RK4_FIXED:
-        raw = _run_rk4(rhs, ic.values, sample_times, spec.dt)
-    else:
-        raw = _run_adaptive(rhs, ic.values, sample_times, spec)
+    raw = _run(rhs, ic.values, sample_times, spec)
 
     states = States(raw, sample_times)
     diagnostics = {"P_a": averaged_power(states)}

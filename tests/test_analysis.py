@@ -24,11 +24,13 @@ from dnlslab.core import (
     ComplexState,
     LatticeConfig,
     PlaneWaveIC,
+    check_system,
     critical_amplitude,
+    discrete_laplacian,
     make_initial_condition,
     node_grid,
 )
-from dnlslab.errors import DomainError, WavenumberError, WindowTooShort
+from dnlslab.errors import DomainError, LengthMismatch, WavenumberError, WindowTooShort
 from dnlslab.timestep import IntegratorSpec, System, integrate
 
 
@@ -337,6 +339,14 @@ class TestSpectrum:
         frame = spectrum(ComplexState(v), cfg)
         assert np.all(frame.coeffs == frame.coeffs[0])
         assert frame.dominant_mode == 0
+
+    def test_wrong_length_is_the_core_length_rule(self, cfg):
+        # spectrum, the system check and the Laplacian share one rule
+        st = ComplexState(np.zeros(64, dtype=complex))
+        for check in (lambda: spectrum(st, cfg), lambda: discrete_laplacian(st, cfg),
+                      lambda: check_system(System.DNLS, cfg, st.values)):
+            with pytest.raises(LengthMismatch, match="^state has 64 nodes, lattice expects 100$"):
+                check()
 
 
 def test_fold_mode():

@@ -19,10 +19,11 @@ from dnlslab.products import (
     write_center_density_csv,
     write_density_csv,
     write_mi_scan_csv,
+    write_phase_plane_csv,
     write_spectrum_csv,
 )
 from dnlslab.proximity import DpsParams, dps_eval
-from dnlslab.timestep import IntegratorSpec, System, integrate
+from dnlslab.timestep import IntegratorSpec, System, Trajectory, integrate
 
 
 def _fmt(value) -> str:
@@ -103,6 +104,17 @@ def test_long_no_blocks_is_header_only(tmp_path):
     path = tmp_path / "t.csv"
     _write_long(path, ("t", "K", "abs_coeff"), "%.17g,%d,%.17g", np.arange(5), [])
     _assert_text(path, "t,K,abs_coeff\n")
+
+
+def test_field_writers_on_an_empty_trajectory_are_header_only(tmp_path):
+    cfg = LatticeConfig(L=25.0, N=50, gamma=1.5, delta=-1.5)
+    empty = Trajectory(times=np.empty(0), states=[])
+    for writer, header in ((write_density_csv, "t,x,density"),
+                           (write_spectrum_csv, "t,K,abs_coeff"),
+                           (write_phase_plane_csv, "t,re_center,im_center"),
+                           (write_center_density_csv, "t,density")):
+        writer(tmp_path / "e.csv", empty, cfg)
+        _assert_text(tmp_path / "e.csv", header + "\n")
 
 
 def test_mi_scan_writer_matches_the_rules(tmp_path):

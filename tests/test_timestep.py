@@ -37,7 +37,7 @@ from dnlslab.timestep import (
     States,
     System,
     Trajectory,
-    _run_adaptive,
+    _run,
     averaged_power,
     integrate,
     power_balance_residual,
@@ -137,10 +137,22 @@ class TestIntegrate:
 
     def test_step_failure_on_nan_rhs(self):
         y0 = np.ones(4, dtype=complex)
+        calls = []
+
+        def nan_rhs(y, out):
+            calls.append(1)
+            out.fill(np.nan)
+
         for method in ADAPTIVE:
             spec = IntegratorSpec(t_end=1.0, method=method, sample_every=1.0)
             with pytest.raises(StepFailure):
-                _run_adaptive(lambda y, out: out.fill(np.nan), y0, np.array([0.0, 1.0]), spec)
+                _run(nan_rhs, y0, np.array([0.0, 1.0]), spec)
+        # RK4 accepts every step, so the blow-up check stops its first one
+        calls.clear()
+        spec = IntegratorSpec(t_end=1.0, method=Method.RK4_FIXED, sample_every=1.0)
+        with pytest.raises(BlowUpDetected, match="at t = 0.001$"):
+            _run(nan_rhs, y0, np.array([0.0, 1.0]), spec)
+        assert len(calls) == 1 + 4
 
 
 class TestSystemRule:
@@ -212,32 +224,31 @@ class TestRhsHooks:
         ic = make_initial_condition(AlgebraicBumpIC(0.2, 0.3, 1.0, 1.0), cfg)
         return integrate(system, ic, cfg, spec, background=0.5)
 
-    @pytest.mark.parametrize("system,name,bc", _HOOKS)
-    def test_rk4_evaluations_all_pass_the_hook(self, monkeypatch, system, name, bc):
-        calls = _count_hook(monkeypatch, name)
-        # 2 samples of 5 steps each, 4 evaluations per step
-        spec = IntegratorSpec(t_end=1.0, method=Method.RK4_FIXED, dt=0.1, sample_every=0.5)
-        self._run(system, bc, spec)
-        assert len(calls) == 2 * 5 * 4
-
-    def _check_adaptive(self, monkeypatch, system, name, bc, method, per_trial, extra):
-        spec = IntegratorSpec(t_end=1.0, method=method, sample_every=0.5)
+    def _check_evaluations(self, monkeypatch, system, name, bc, method, per_trial, extra):
+        """The one check of every method: returns the number of evaluations."""
+        spec = IntegratorSpec(t_end=1.0, method=method, dt=0.1, sample_every=0.5)
         plain = self._run(system, bc, spec)
         calls = _count_hook(monkeypatch, name)
         hooked = self._run(system, bc, spec)
         # one evaluation before the first step, per_trial per trial step
         # (FSAL), and extra for the one step that holds the sample at t = 0.5
         assert len(calls) > 1 + extra and (len(calls) - 1 - extra) % per_trial == 0
-        for a, b in zip(plain.states, hooked.states):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(plain.values, hooked.values)
+        return len(calls)
+
+    @pytest.mark.parametrize("system,name,bc", _HOOKS)
+    def test_rk4_evaluations_all_pass_the_hook(self, monkeypatch, system, name, bc):
+        # ten steps of 0.1, each accepted
+        assert self._check_evaluations(
+            monkeypatch, system, name, bc, Method.RK4_FIXED, 4, 0) == 1 + 10 * 4
 
     @pytest.mark.parametrize("system,name,bc", _HOOKS)
     def test_dp54_evaluations_all_pass_the_hook(self, monkeypatch, system, name, bc):
-        self._check_adaptive(monkeypatch, system, name, bc, Method.DP54_ADAPTIVE, 6, 0)
+        self._check_evaluations(monkeypatch, system, name, bc, Method.DP54_ADAPTIVE, 6, 0)
 
     @pytest.mark.parametrize("system,name,bc", _HOOKS)
     def test_dop853_evaluations_all_pass_the_hook(self, monkeypatch, system, name, bc):
-        self._check_adaptive(monkeypatch, system, name, bc, Method.DOP853, 12, 3)
+        self._check_evaluations(monkeypatch, system, name, bc, Method.DOP853, 12, 3)
 
     @pytest.mark.parametrize("background", [-0.5, math.nan, math.inf])
     def test_bad_background_rejected_before_any_evaluation(self, monkeypatch, background):
@@ -263,6 +274,17 @@ class TestOrderAndTolerance:
 
         ratio = end_error(0.02) / end_error(0.01)
         assert 14.0 <= ratio <= 18.0
+
+    def test_rk4_sample_is_the_step_end_state(self):
+        # dt = 0.03 divides sample_every = 0.25 as nine steps of 0.25/9, so
+        # the sample at t = 0.5 is the state after eighteen steps
+        cfg = LatticeConfig(L=50.0, N=100, gamma=0.1, delta=-0.1)
+        ic = make_initial_condition(AlgebraicBumpIC(0.5, 1.0, 1.0, 4.0), cfg)
+        spec = IntegratorSpec(t_end=1.0, method=Method.RK4_FIXED, dt=0.03, sample_every=0.25)
+        sampled = integrate(System.DNLS, ic, cfg, spec)
+        stopped = integrate(System.DNLS, ic, cfg, replace(spec, t_end=0.5))
+        assert sampled.times[2] == stopped.times[-1] == 0.5
+        assert np.max(np.abs(sampled.values[2] - stopped.values[-1])) < 1e-13
 
     @staticmethod
     def _check_tolerance(method):
