@@ -78,8 +78,7 @@ def amplitude_ode_solution(A0: float, gamma: float, delta: float, t):
     Fixed point at the critical amplitude; the limit t -> inf is A_*^2.
     Accepts scalar or array ``t``, finite and nonnegative.
     """
-    if not (gamma > 0 and delta < 0):
-        raise DomainError("amplitude dynamics require gamma > 0 and delta < 0")
+    critical_amplitude(gamma, delta)  # DomainError without gain and loss
     if not (A0 > 0):
         raise DomainError(f"A0 must be positive, got {A0}")
     t_arr = np.asarray(t, dtype=np.float64)
@@ -250,14 +249,14 @@ def mi_growth_oracle(
     gamma: float,
     delta: float,
     eps: float = 1e-6,
-    sample_every: float = 0.25,
-    t_end: float | None = None,
 ) -> GrowthFit:
     """Measure a sideband growth rate by integrating the full lattice.
 
     Starts from u_n(0) = (A_* + eps*cos(Q x_n)) exp(i q x_n), demodulates by
     the carrier, and fits the exponential growth of the mode-M amplitude
-    |A_M|/(hN) over the linear window [10*eps, 1e-3].  Stable sidebands never
+    |A_M|/(hN), sampled every 0.25, over the linear window [10*eps, 1e-3].
+    The horizon is the time the predicted growth takes to cross the window,
+    with headroom, or 10 for a stable sideband.  Stable sidebands never
     enter the window and report rate 0 with grew=False.  The run uses the
     8th-order DOP853 pair: at rtol 1e-9 its steps are limited by accuracy,
     so the higher order takes fewer right-hand-side evaluations.
@@ -279,15 +278,14 @@ def mi_growth_oracle(
 
     lam_p, lam_m = mi_roots(q, Q, run_cfg, a_star, delta)
     predicted = max(lam_p.imag, lam_m.imag)
-    if t_end is None:
-        if predicted > 0:
-            # time to traverse [eps/2, 1e-3] plus headroom
-            t_end = 1.3 * math.log(GROWTH_WINDOW_HIGH / (0.5 * eps)) / predicted + 2.0
-        else:
-            t_end = 10.0
+    if predicted > 0:
+        # time to traverse [eps/2, 1e-3] plus headroom
+        t_end = 1.3 * math.log(GROWTH_WINDOW_HIGH / (0.5 * eps)) / predicted + 2.0
+    else:
+        t_end = 10.0
 
     spec = IntegratorSpec(t_end=t_end, method=Method.DOP853,
-                          dt=1e-3, rtol=1e-9, atol=1e-12, sample_every=sample_every)
+                          dt=1e-3, rtol=1e-9, atol=1e-12, sample_every=0.25)
     traj = integrate(System.DNLS, ic, run_cfg, spec)
 
     coeff = np.abs(np.fft.fft(traj.values * np.conj(carrier), axis=1)[:, M]) / run_cfg.N
@@ -299,7 +297,8 @@ def mi_growth_oracle(
     mask = (coeff[:stop] >= low)
     if mask.sum() < 3:
         raise NoLinearWindow(
-            f"only {int(mask.sum())} samples in the linear window; refine sample_every"
+            f"only {int(mask.sum())} samples in the linear window: the sideband "
+            "grows too fast to fit at the sampling interval 0.25"
         )
     ts = traj.times[:stop][mask]
     slope = np.polyfit(ts, np.log(coeff[:stop][mask]), 1)[0]

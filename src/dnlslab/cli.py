@@ -273,8 +273,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mi_scan(args) -> int:
-    cfg = LatticeConfig(L=args.L, N=args.N, gamma=args.gamma, delta=args.delta,
-                        h=args.h)
+    cfg = LatticeConfig(L=args.L, N=args.N, gamma=args.gamma, delta=args.delta)
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
     carriers = [args.carrier] if args.carrier is not None else list(range(cfg.N // 2 + 1))
     scans = [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers]
@@ -358,15 +357,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_gate)
 
-    def add_run_args(p, with_auto_t0=False):
+    def add_run_args(p, with_products=True, with_auto_t0=False):
         p.add_argument("--scenario", required=True,
                        help="catalog name or path to a scenario file")
         p.add_argument("--out", default=None, help="output root (default: $DNLS_OUT or ./out)")
         p.add_argument("--ap", type=float, default=None,
                        help="override the plane-wave perturbation amplitude")
         p.add_argument("--smoke", action="store_true", help="cap the horizon at t=10")
-        p.add_argument("--plot-scripts", action="store_true",
-                       help="emit companion plot scripts")
+        if with_products:
+            p.add_argument("--plot-scripts", action="store_true",
+                           help="emit companion plot scripts")
         if with_auto_t0:
             p.add_argument("--auto-t0", action="store_true",
                            help="locate the rogue-profile reference time from the run")
@@ -375,12 +375,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_run_args(p, with_auto_t0=True)
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("mi-scan", help="sideband growth map for one or all carriers")
+    # no prefix matching here: the removed --h would otherwise resolve to --help
+    p = sub.add_parser("mi-scan", help="sideband growth map for one or all carriers",
+                       allow_abbrev=False)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--h", type=float, default=None)
     p.add_argument("--carrier", type=int, default=None, help="carrier mode K (default: all)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_mi_scan)
@@ -390,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare_al)
 
     p = sub.add_parser("attractor-check", help="long-run convergence verdict")
-    add_run_args(p)
+    add_run_args(p, with_products=False)
     p.add_argument("--tol-amp", type=float, default=1e-3)
     p.add_argument("--window", type=float, default=None,
                    help="final time window inspected (default: min(5, t_end/2))")

@@ -22,7 +22,7 @@ inputs, so parameter sweeps can evaluate them concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -71,8 +71,8 @@ class BoundaryKind(Enum):
 class LatticeConfig:
     """Geometry, coupling, and gain/loss parameters shared by all systems.
 
-    ``h`` and ``k`` default to 2L/N and 1/h^2.  If given explicitly they must
-    satisfy h*N == 2L exactly and k*h^2 == 1 to machine precision.
+    The spacing ``h = 2L/N`` and the coupling ``k = 1/h^2`` are derived from
+    ``L`` and ``N``; they are not settable.
     """
 
     L: float
@@ -80,8 +80,8 @@ class LatticeConfig:
     gamma: float
     delta: float
     bc: BoundaryKind = BoundaryKind.PERIODIC
-    h: float | None = None
-    k: float | None = None
+    h: float = field(init=False)
+    k: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
@@ -95,25 +95,9 @@ class LatticeConfig:
                 raise ConfigError(f"{name} must be finite")
         if not isinstance(self.bc, BoundaryKind):
             raise ConfigError(f"bc must be a BoundaryKind, got {self.bc!r}")
-
-        if self.h is None:
-            object.__setattr__(self, "h", 2.0 * self.L / self.N)
-        else:
-            if not (math.isfinite(self.h) and self.h > 0):
-                raise ConfigError(f"h must be positive and finite, got {self.h}")
-            if self.h * self.N != 2.0 * self.L:
-                raise ConfigError(
-                    f"h*N must equal 2L exactly: h*N={self.h * self.N!r}, 2L={2.0 * self.L!r}"
-                )
-        if self.k is None:
-            object.__setattr__(self, "k", 1.0 / (self.h * self.h))
-        else:
-            if not (math.isfinite(self.k) and self.k > 0):
-                raise ConfigError(f"k must be positive and finite, got {self.k}")
-            if abs(self.k * self.h * self.h - 1.0) > 1e-12:
-                raise ConfigError(
-                    f"k must equal 1/h^2 to machine precision, got k*h^2={self.k * self.h ** 2!r}"
-                )
+        h = 2.0 * self.L / self.N
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "k", 1.0 / (h * h))
 
 
 @dataclass(eq=False)

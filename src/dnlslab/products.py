@@ -180,7 +180,8 @@ def write_manifest(path: Path, manifest: RunManifest) -> None:
 _PLOT_TEMPLATES = {
     "densities": """\
 # Render a density CSV (t, x, density) as a spacetime map, with the wedge
-# overlay when present.  Usage: python plot_density.txt DENSITY_CSV [WEDGE_CSV]
+# overlay when present.  Usage:
+#   python plot_densities.txt DENSITY_CSV [WEDGE_CSV]
 import sys
 import numpy as np
 import matplotlib.pyplot as plt

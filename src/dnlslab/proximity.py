@@ -43,6 +43,8 @@ __all__ = [
 # exp() overflow guard on a bound's whole exponent (1.5 times that of e^{N0/h}
 # in the 3/2-power tails); beyond this the bounds are reported as inf.
 _EXP_CLAMP = 700.0
+# The window of the windowed distance D_a_r when a scenario names none.
+_DEFAULT_WINDOW = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def distance_curves(
     traj_u: "Trajectory",
     traj_phi: "Trajectory",
     cfg: LatticeConfig,
-    window: tuple[float, float] = (-10.0, 10.0),
+    window: tuple[float, float] = _DEFAULT_WINDOW,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Averaged distances between paired runs on identical sampling grids.
 
@@ -210,8 +212,7 @@ def estimate_I_curve(
     B is within a relative e^-42 of its limit gamma/beta; past the last of
     those breaks it is within e^-40, so a panel there is exact however long.
     """
-    if not (gamma > 0 and delta < 0):
-        raise DomainError("the distance envelopes require gamma > 0 and delta < 0")
+    critical_amplitude(gamma, delta)  # DomainError without gain and loss
     if not (u0_norm_sq > 0):
         raise DomainError("the gain/loss run must start from a nonzero state")
     tail_coeff = _al_tail(N0, cfg)
@@ -262,8 +263,7 @@ class SmallnessCheck:
 def smallness_condition(cfg: LatticeConfig, gamma: float, delta: float) -> SmallnessCheck:
     """Check the gain-strength smallness requirement behind a moderate
     linear distance growth; both sides are surfaced alongside the verdict."""
-    if not (gamma > 0 and delta < 0):
-        raise DomainError("the smallness condition requires gamma > 0 and delta < 0")
+    critical_amplitude(gamma, delta)  # DomainError without gain and loss
     lhs = gamma**3
     rhs = min(
         -delta / (cfg.N * cfg.h),
@@ -302,7 +302,7 @@ def build_proximity_report(
     traj_u: "Trajectory",
     traj_phi: "Trajectory",
     cfg: LatticeConfig,
-    window: tuple[float, float] = (-10.0, 10.0),
+    window: tuple[float, float] = _DEFAULT_WINDOW,
 ) -> ProximityReport:
     """Assemble distances and both envelopes for a paired (gain/loss, AL) run."""
     times, d_a, d_a_r, n_r = distance_curves(traj_u, traj_phi, cfg, window)

@@ -28,7 +28,7 @@ from .core import (
     make_initial_condition,
 )
 from .errors import ParseError, ValidationError, ValidationFailure
-from .proximity import DpsParams, unit_spacing
+from .proximity import _DEFAULT_WINDOW, DpsParams, unit_spacing
 from .timestep import IntegratorSpec, Method
 
 __all__ = [
@@ -49,7 +49,6 @@ KNOWN_OUTPUTS = (
     "proximity",
     "mi_scan",
 )
-_DEFAULT_WINDOW = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -259,7 +258,7 @@ _INTEGER_KEYS = frozenset({"N", "mode", "noise_seed"})
 _ENUM_KEYS = {"bc": BoundaryKind, "method": Method}
 _KEYS = frozenset({
     "name", "systems", "ic", "variant", "outputs", "bc", "method",
-    "L", "N", "gamma", "delta", "h",
+    "L", "N", "gamma", "delta",
     "t_end", "dt", "rtol", "atol", "sample_every",
     "window_lo", "window_hi", "dps_t0", "dps_q", "noise_amp", "noise_seed",
 }) | {f.name for kind in _IC_KINDS.values() for f in fields(kind)}
@@ -340,7 +339,7 @@ def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> Scena
             N=_number(mapping, "N"),
             gamma=_number(mapping, "gamma"),
             delta=_number(mapping, "delta"),
-            **given("bc", "h"),
+            **given("bc"),
         )
         ic = ic_kind(**{f.name: _number(mapping, f.name) for f in fields(ic_kind)})
         # a bump's background is its own required key; a plane wave's
@@ -388,8 +387,8 @@ def load_scenario(name_or_path: str | Path) -> ScenarioSpec:
     return _scenario_from_mapping(_parse_mapping(path.read_text(encoding="utf-8")), path.stem)
 
 
-def smoke_variant(spec: ScenarioSpec, cap: float = 10.0) -> ScenarioSpec:
-    """Copy of a scenario with the horizon capped (CI smoke mode)."""
-    if spec.integrator.t_end <= cap:
+def smoke_variant(spec: ScenarioSpec) -> ScenarioSpec:
+    """Copy of a scenario with the horizon capped at t = 10 (CI smoke mode)."""
+    if spec.integrator.t_end <= 10.0:
         return spec
-    return replace(spec, integrator=replace(spec.integrator, t_end=cap))
+    return replace(spec, integrator=replace(spec.integrator, t_end=10.0))

@@ -187,8 +187,11 @@ class TestSimulate:
          "nonempty interval"),
         ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
          "noise_amp = 1e-12\nnoise_seed = -1\n", "must be nonnegative"),
+        # the spacing is derived from L and N, so a file cannot set it
+        ("L = 50\nN = 100\nh = 1\nic = planewave\namplitude = 1\nperturbation = 0.5\n"
+         "mode = 20\n", "unknown keys: h"),
     ], ids=["center_density_odd_N", "rogue_reference_h_2", "proximity_window_reversed",
-            "noise_seed_negative"])
+            "noise_seed_negative", "spacing_set"])
     def test_scenario_precondition_rejected_at_load(self, tmp_path, capsys, body, message):
         cfgfile = tmp_path / "precondition.cfg"
         cfgfile.write_text(f"gamma = 0.0025\ndelta = -0.01\nt_end = 1\n{body}")
@@ -361,6 +364,17 @@ def test_attractor_check_manifest_lists_only_the_integrated_run(tmp_path):
     assert manifest["parameters"]["variants"] == ["ap_plus2"]
     assert manifest["parameters"]["systems"] == ["dnls"]
     assert manifest["products"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["attractor-check", "--scenario", "fig5", "--smoke", "--plot-scripts"],
+    ["mi-scan", "--gamma", "1.5", "--delta", "-1.5", "--L", "50", "--N", "100", "--h", "1"],
+], ids=["attractor_check_plot_scripts", "mi_scan_h"])
+def test_removed_flags_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_mi_scan_command(tmp_path, capsys):

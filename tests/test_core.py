@@ -1,5 +1,6 @@
 """Unit tests for the lattice domain types, gates, and right-hand sides."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,14 +60,15 @@ class TestLatticeConfig:
         assert cfg100.k == 1.0
         assert cfg100.h * cfg100.N == 2.0 * cfg100.L
 
-    def test_explicit_spacing_must_be_exact(self):
-        LatticeConfig(L=50.0, N=100, gamma=1.0, delta=-1.0, h=1.0)  # fine
-        with pytest.raises(ConfigError):
-            LatticeConfig(L=50.0, N=100, gamma=1.0, delta=-1.0, h=1.0000001)
+    def test_replace_rederives_spacing_and_coupling(self, cfg100):
+        finer = replace(cfg100, N=200)
+        assert finer.h == 0.5
+        assert finer.k == 4.0
 
-    def test_explicit_coupling_checked(self):
-        with pytest.raises(ConfigError):
-            LatticeConfig(L=50.0, N=100, gamma=1.0, delta=-1.0, k=1.01)
+    def test_spacing_and_coupling_are_not_settable(self):
+        for derived in ("h", "k"):
+            with pytest.raises(TypeError):
+                LatticeConfig(L=50.0, N=100, gamma=1.0, delta=-1.0, **{derived: 1.0})
 
     def test_minimum_node_count(self):
         with pytest.raises(ConfigError):
