@@ -239,7 +239,6 @@ class GrowthFit:
 
     rate: float
     grew: bool
-    n_window: int = 0
 
 
 def mi_growth_oracle(
@@ -302,7 +301,7 @@ def mi_growth_oracle(
         )
     ts = traj.times[:stop][mask]
     slope = np.polyfit(ts, np.log(coeff[:stop][mask]), 1)[0]
-    return GrowthFit(rate=float(slope), grew=True, n_window=int(mask.sum()))
+    return GrowthFit(rate=float(slope), grew=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import attractor_verdict, mi_scan
 from .core import (
+    GATE_TOL,
     GeneralizedBCSpec,
     PlaneWaveIC,
     LatticeConfig,
@@ -97,7 +98,7 @@ def _gate_record(spec: ScenarioSpec) -> dict:
         "background": spec.background,
         "a_star": critical_amplitude(gamma, delta) if applicable else None,
         "solvable": solvability_gate(spec.background, gamma, delta) if applicable else None,
-        "tolerance": 1e-9,
+        "tolerance": GATE_TOL,
     }
 
 
@@ -180,7 +181,7 @@ def run_scenario(
 
         dps_ref = variant.dps_reference
         if auto_t0 and dps_ref is not None and System.DNLS in trajs:
-            floor = 2.0 * spec.background**2
+            floor = 2.0 * variant.background**2
             peak = _first_central_peak(trajs[System.DNLS], cfg, floor)
             if peak is not None:
                 dps_ref = DpsParams(q=dps_ref.q, t0=peak)
@@ -201,7 +202,7 @@ def run_scenario(
         if "wedge" in spec.outputs:
             some_traj = next(iter(trajs.values()))
             emit(write_wedge_csv, "wedge", None, variant.label,
-                 some_traj.times, spec.background)
+                 some_traj.times, variant.background)
         if "proximity" in spec.outputs:
             report = build_proximity_report(
                 trajs[System.DNLS], trajs[System.AL], cfg, spec.window
@@ -341,20 +342,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnlslab",
         description="Gain/loss lattice simulator and analysis toolkit",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("list-scenarios", help="print the scenario catalog")
+    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand parser without prefix matching: an abbreviated or a
+        removed flag is an unknown option, not a longer one."""
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p = add_parser("list-scenarios", help="print the scenario catalog")
     p.set_defaults(fn=_cmd_list_scenarios)
 
-    p = sub.add_parser("gate", help="print the critical amplitude and gate verdicts")
+    p = add_parser("gate", help="print the critical amplitude and gate verdicts")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--a", type=float, default=None, help="background amplitude to test")
     p.add_argument("--zeta", type=float, default=None, help="two-sided boundary modulus")
     p.add_argument("--g-freq", type=float, default=None, help="boundary frequency parameter G")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=GATE_TOL)
     p.set_defaults(fn=_cmd_gate)
 
     def add_run_args(p, with_products=True, with_auto_t0=False):
@@ -371,13 +378,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--auto-t0", action="store_true",
                            help="locate the rogue-profile reference time from the run")
 
-    p = sub.add_parser("simulate", help="run a scenario and emit its data products")
+    p = add_parser("simulate", help="run a scenario and emit its data products")
     add_run_args(p, with_auto_t0=True)
     p.set_defaults(fn=_cmd_simulate)
 
-    # no prefix matching here: the removed --h would otherwise resolve to --help
-    p = sub.add_parser("mi-scan", help="sideband growth map for one or all carriers",
-                       allow_abbrev=False)
+    p = add_parser("mi-scan", help="sideband growth map for one or all carriers")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--L", type=float, required=True)
@@ -386,11 +391,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_mi_scan)
 
-    p = sub.add_parser("compare-al", help="paired gain/loss vs integrable run with distances")
+    p = add_parser("compare-al", help="paired gain/loss vs integrable run with distances")
     add_run_args(p)
     p.set_defaults(fn=_cmd_compare_al)
 
-    p = sub.add_parser("attractor-check", help="long-run convergence verdict")
+    p = add_parser("attractor-check", help="long-run convergence verdict")
     add_run_args(p, with_products=False)
     p.add_argument("--tol-amp", type=float, default=1e-3)
     p.add_argument("--window", type=float, default=None,

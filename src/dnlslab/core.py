@@ -35,7 +35,6 @@ __all__ = [
     "LatticeConfig",
     "ComplexState",
     "NodeGrid",
-    "BackgroundSpec",
     "GeneralizedBCSpec",
     "PlaneWaveIC",
     "AlgebraicBumpIC",
@@ -44,6 +43,7 @@ __all__ = [
     "central_node_index",
     "lattice_norm",
     "al_invariant",
+    "GATE_TOL",
     "critical_amplitude",
     "solvability_gate",
     "generalized_gate",
@@ -57,6 +57,8 @@ __all__ = [
     "sech",
 ]
 
+# Tolerance of the solvability gates, and of the gate record of each run.
+GATE_TOL = 1e-9
 # Overflow guard for sech tails: exp(700) is near the float64 ceiling and
 # the profile has underflowed to 0 well before that.
 _SECH_CLAMP = 700.0
@@ -171,7 +173,7 @@ def critical_amplitude(gamma: float, delta: float) -> float:
     return math.sqrt(-gamma / delta)
 
 
-def solvability_gate(A: float, gamma: float, delta: float, tol: float = 1e-9) -> bool:
+def solvability_gate(A: float, gamma: float, delta: float, tol: float = GATE_TOL) -> bool:
     """True iff the background A sits at the critical amplitude within tol.
 
     The scenario runner uses this verdict to label runs "infinite-lattice
@@ -180,26 +182,6 @@ def solvability_gate(A: float, gamma: float, delta: float, tol: float = 1e-9) ->
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
     return abs(A - critical_amplitude(gamma, delta)) <= tol
-
-
-@dataclass(frozen=True)
-class BackgroundSpec:
-    """Background amplitude paired with the critical amplitude of (gamma, delta)."""
-
-    A: float
-    A_star: float
-
-    def __post_init__(self) -> None:
-        if self.A < 0 or self.A_star < 0:
-            raise DomainError("amplitudes must be nonnegative")
-
-    @classmethod
-    def from_gain_loss(cls, A: float, gamma: float, delta: float) -> "BackgroundSpec":
-        a_star = critical_amplitude(gamma, delta)
-        # Consistency of the defining relation A_star^2 * delta + gamma = 0.
-        if abs(a_star * a_star * delta + gamma) > 1e-12 * abs(gamma):
-            raise DomainError("critical amplitude inconsistent with gain/loss pair")
-        return cls(A=A, A_star=a_star)
 
 
 @dataclass(frozen=True)
@@ -222,7 +204,7 @@ class GeneralizedBCSpec:
 
 
 def generalized_gate(
-    spec: GeneralizedBCSpec, gamma: float, delta: float, tol: float = 1e-9
+    spec: GeneralizedBCSpec, gamma: float, delta: float, tol: float = GATE_TOL
 ) -> bool:
     """Solvability gate for step-like boundary values: G^2 == zeta^2 and
     zeta == critical amplitude, both within tol."""

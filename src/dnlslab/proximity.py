@@ -14,16 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (ComplexState, LatticeConfig, NodeGrid, al_invariant, critical_amplitude,
                    lattice_norm, node_grid)
 from .errors import ConfigError, DomainError, GridMismatch, HypothesisViolated
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .timestep import Trajectory
+from .timestep import Trajectory, _power_envelope
 
 __all__ = [
     "DpsParams",
@@ -108,8 +105,8 @@ def al_norm_bound(N0: float, cfg: LatticeConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def distance_curves(
-    traj_u: "Trajectory",
-    traj_phi: "Trajectory",
+    traj_u: Trajectory,
+    traj_phi: Trajectory,
     cfg: LatticeConfig,
     window: tuple[float, float] = _DEFAULT_WINDOW,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -169,18 +166,6 @@ def estimate_II_rate(
         + math.sqrt(delta * delta + 1.0) * math.sqrt(cfg.h) * A_star**3 * cfg.N**1.5
         + _al_tail(N0, cfg)
     )
-
-
-def _power_envelope(cfg: LatticeConfig, gamma: float, delta: float, u0_norm_sq: float):
-    """B(s) bounding ||u(s)||^2, from the closed-form power bound."""
-    nu = 1.0 / u0_norm_sq
-    beta = -delta / (cfg.N * cfg.h)
-
-    def B(s):
-        decay = np.exp(-2.0 * gamma * s)
-        return gamma / (gamma * decay * nu + beta * (1.0 - decay))
-
-    return B, nu, beta
 
 
 def estimate_I_curve(
@@ -294,18 +279,17 @@ class ProximityReport:
     N0: float
     smallness: SmallnessCheck
     window: tuple[float, float]
-    N_r: int
     initial_distance: float
 
 
 def build_proximity_report(
-    traj_u: "Trajectory",
-    traj_phi: "Trajectory",
+    traj_u: Trajectory,
+    traj_phi: Trajectory,
     cfg: LatticeConfig,
     window: tuple[float, float] = _DEFAULT_WINDOW,
 ) -> ProximityReport:
     """Assemble distances and both envelopes for a paired (gain/loss, AL) run."""
-    times, d_a, d_a_r, n_r = distance_curves(traj_u, traj_phi, cfg, window)
+    times, d_a, d_a_r, _ = distance_curves(traj_u, traj_phi, cfg, window)
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
     n0 = al_invariant(traj_phi.states[0], cfg)
     u0 = traj_u.values[0]
@@ -332,6 +316,5 @@ def build_proximity_report(
         N0=n0,
         smallness=smallness_condition(cfg, cfg.gamma, cfg.delta),
         window=window,
-        N_r=n_r,
         initial_distance=initial_distance,
     )

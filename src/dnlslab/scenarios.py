@@ -60,6 +60,12 @@ class ScenarioVariant:
     ic: InitialCondition
     dps_reference: DpsParams | None = None
 
+    @property
+    def background(self) -> float:
+        """The background amplitude of the initial condition: a plane wave's
+        amplitude, a bump's background."""
+        return self.ic.amplitude if isinstance(self.ic, PlaneWaveIC) else self.ic.background
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec:
@@ -70,7 +76,6 @@ class ScenarioSpec:
     variants: tuple[ScenarioVariant, ...]
     integrator: IntegratorSpec
     outputs: tuple[str, ...]
-    background: float
     noise_amp: float = 0.0
     noise_seed: int = 0
     window: tuple[float, float] = _DEFAULT_WINDOW
@@ -108,6 +113,16 @@ class ScenarioSpec:
         # Dry-run every IC so catalog errors surface at load time.
         for variant in self.variants:
             make_initial_condition(variant.ic, self.cfg)
+        # the manifest holds one gate record, so one background per scenario
+        backgrounds = {variant.background for variant in self.variants}
+        if len(backgrounds) > 1:
+            raise ValidationError(f"the variants of a scenario must share one background, "
+                                  f"got {sorted(backgrounds)}")
+
+    @property
+    def background(self) -> float:
+        """The background amplitude all variants' initial conditions sit on."""
+        return self.variants[0].background
 
 
 def apply_noise(state: ComplexState, amp: float, seed: int) -> ComplexState:
@@ -133,8 +148,8 @@ def catalog() -> dict[str, ScenarioSpec]:
 
     algebraic = AlgebraicBumpIC(background=0.5, lam1=1.0, lam2=1.0, lam3=4.0)
     sechbump = SechBumpIC(background=0.5, sigma=0.6, rho=1.0)
-    alg = ScenarioVariant("algebraic", algebraic, DpsParams(q=0.5, t0=2.40))
-    sech = ScenarioVariant("sech", sechbump, DpsParams(q=0.5, t0=3.30))
+    alg = ScenarioVariant("algebraic", algebraic, DpsParams(q=algebraic.background, t0=2.40))
+    sech = ScenarioVariant("sech", sechbump, DpsParams(q=sechbump.background, t0=3.30))
     short_dense = IntegratorSpec(t_end=10.0, sample_every=0.05)
 
     fig9a = ScenarioSpec(
@@ -146,7 +161,6 @@ def catalog() -> dict[str, ScenarioSpec]:
         variants=(alg,),
         integrator=IntegratorSpec(t_end=40.0),
         outputs=("densities", "wedge", "center_density"),
-        background=0.5,
     )
     fig10a = ScenarioSpec(
         name="fig10a",
@@ -157,7 +171,6 @@ def catalog() -> dict[str, ScenarioSpec]:
         variants=(alg,),
         integrator=IntegratorSpec(t_end=40.0),
         outputs=("densities", "wedge"),
-        background=0.5,
     )
     entries = [
         ScenarioSpec(
@@ -172,7 +185,6 @@ def catalog() -> dict[str, ScenarioSpec]:
             ),
             integrator=IntegratorSpec(t_end=10.0),
             outputs=("spectrum", "phase_plane", "densities"),
-            background=1.0,
         ),
         ScenarioSpec(
             name="fig6",
@@ -183,7 +195,6 @@ def catalog() -> dict[str, ScenarioSpec]:
             variants=(ScenarioVariant("ap_plus2", PlaneWaveIC(1.0, 2.0, 8)),),
             integrator=IntegratorSpec(t_end=3700.0, sample_every=1.0),
             outputs=("spectrum", "phase_plane"),
-            background=1.0,
             noise_amp=1e-12,
             noise_seed=1234,
         ),
@@ -196,7 +207,6 @@ def catalog() -> dict[str, ScenarioSpec]:
             variants=(ScenarioVariant("algebraic", algebraic),),
             integrator=IntegratorSpec(t_end=600.0, sample_every=1.0),
             outputs=("spectrum", "densities"),
-            background=0.5,
         ),
         fig9a,
         replace(
@@ -256,12 +266,13 @@ def catalog() -> dict[str, ScenarioSpec]:
 _IC_KINDS = {"planewave": PlaneWaveIC, "algebraic": AlgebraicBumpIC, "sech": SechBumpIC}
 _INTEGER_KEYS = frozenset({"N", "mode", "noise_seed"})
 _ENUM_KEYS = {"bc": BoundaryKind, "method": Method}
+# the keys of every file; the fields of its ``ic`` kind are its other keys
 _KEYS = frozenset({
     "name", "systems", "ic", "variant", "outputs", "bc", "method",
     "L", "N", "gamma", "delta",
     "t_end", "dt", "rtol", "atol", "sample_every",
-    "window_lo", "window_hi", "dps_t0", "dps_q", "noise_amp", "noise_seed",
-}) | {f.name for kind in _IC_KINDS.values() for f in fields(kind)}
+    "window_lo", "window_hi", "dps_t0", "noise_amp", "noise_seed",
+})
 _REQUIRED = object()
 
 
@@ -313,14 +324,15 @@ def _member(kind: type[Enum], key: str, raw: str):
 
 
 def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> ScenarioSpec:
-    unknown = set(mapping) - _KEYS
-    if unknown:
-        raise ParseError(f"unknown keys: {', '.join(sorted(unknown))}")
     if "ic" not in mapping:
         raise ParseError("missing required key 'ic'")
     ic_kind = _IC_KINDS.get(mapping["ic"])
     if ic_kind is None:
         raise ParseError(f"key 'ic': expected one of {sorted(_IC_KINDS)}, got {mapping['ic']!r}")
+    ic_keys = [f.name for f in fields(ic_kind)]
+    unknown = set(mapping) - _KEYS - set(ic_keys)
+    if unknown:
+        raise ParseError(f"unknown keys: {', '.join(sorted(unknown))}")
 
     systems = tuple(_member(System, "systems", tok)
                     for tok in mapping.get("systems", "dnls").split(","))
@@ -341,27 +353,24 @@ def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> Scena
             delta=_number(mapping, "delta"),
             **given("bc"),
         )
-        ic = ic_kind(**{f.name: _number(mapping, f.name) for f in fields(ic_kind)})
-        # a bump's background is its own required key; a plane wave's
-        # defaults to its amplitude
-        background = _number(mapping, "background", getattr(ic, "amplitude", None))
+        variant = ScenarioVariant(mapping.get("variant", "main"),
+                                  ic_kind(**{key: _number(mapping, key) for key in ic_keys}))
+        if "dps_t0" in mapping:
+            # the rogue profile sits on the initial condition's background
+            variant = replace(variant, dps_reference=DpsParams(
+                q=variant.background, t0=_number(mapping, "dps_t0")))
         integrator = IntegratorSpec(
             t_end=_number(mapping, "t_end"),
             **given("method", "dt", "rtol", "atol", "sample_every"),
         )
-        dps_ref = None
-        if "dps_t0" in mapping:
-            dps_ref = DpsParams(q=_number(mapping, "dps_q", background),
-                                t0=_number(mapping, "dps_t0"))
         return ScenarioSpec(
             name=mapping.get("name", fallback_name),
             description="user scenario",
             systems=systems,
             cfg=cfg,
-            variants=(ScenarioVariant(mapping.get("variant", "main"), ic, dps_ref),),
+            variants=(variant,),
             integrator=integrator,
             outputs=outputs,
-            background=background,
             window=(_number(mapping, "window_lo", _DEFAULT_WINDOW[0]),
                     _number(mapping, "window_hi", _DEFAULT_WINDOW[1])),
             **given("noise_amp", "noise_seed"),

@@ -534,27 +534,47 @@ def power_balance_residual(traj: Trajectory, cfg: LatticeConfig) -> np.ndarray:
     return np.abs(dWdt - 2.0 * cfg.gamma * W[1:-1] - 2.0 * cfg.delta * Q[1:-1])
 
 
+def _power_envelope(cfg: LatticeConfig, gamma: float, delta: float, u0_norm_sq: float):
+    """The closed-form power bound in the lattice norm: B(s) bounds ||u(s)||^2
+    = N h P_a(s) on a gain/loss run with ||u(0)||^2 = u0_norm_sq,
+
+        B(s) = gamma / (gamma nu e^{-2 gamma s} + beta (1 - e^{-2 gamma s})),
+        nu = 1 / ||u(0)||^2,  beta = -delta / (N h).
+
+    Returns (B, nu, beta).
+    """
+    nu = 1.0 / u0_norm_sq
+    beta = -delta / (cfg.N * cfg.h)
+
+    def B(s):
+        decay = np.exp(-2.0 * gamma * s)
+        return gamma / (gamma * decay * nu + beta * (1.0 - decay))
+
+    return B, nu, beta
+
+
 def power_bound_check(traj: Trajectory, cfg: LatticeConfig) -> tuple[bool, np.ndarray]:
     """Check the closed-form upper bound on the averaged power along a run.
 
     The bound solves the comparison equation obtained from the power balance
     law via Cauchy-Schwarz:
-        P_a(t) <= 1 / ( P_a(0)^{-1} e^{-2 gamma t} + (-delta/gamma)(1 - e^{-2 gamma t}) ).
-    Returns (pass, margin) where margin = bound - P_a pointwise.  Constant
-    modulus states saturate the bound, so the pass verdict allows a relative
-    tolerance of 1e-6, sized to absorb integrator noise on saturating orbits.
+        P_a(t) <= 1 / ( P_a(0)^{-1} e^{-2 gamma t} + (-delta/gamma)(1 - e^{-2 gamma t}) ),
+    ``_power_envelope`` divided by N h.  Returns (pass, margin) where margin =
+    bound - P_a pointwise.  Constant modulus states saturate the bound, so the
+    pass verdict allows a relative tolerance of 1e-6, sized to absorb
+    integrator noise on saturating orbits.
     """
     critical_amplitude(cfg.gamma, cfg.delta)  # DomainError without gain and loss
     if traj.system is not System.DNLS:
         raise ConfigError("the power bound applies to gain/loss lattice runs")
     p = traj.diagnostics["P_a"]
-    p0 = p[0]
     tau = traj.times - traj.times[0]
-    decay = np.exp(-2.0 * cfg.gamma * tau)
-    if p0 == 0.0:
+    if p[0] == 0.0:  # the zero state stays zero
         bound = np.zeros_like(tau)
     else:
-        bound = 1.0 / (decay / p0 + (-cfg.delta / cfg.gamma) * (1.0 - decay))
+        scale = cfg.N * cfg.h
+        B, _, _ = _power_envelope(cfg, cfg.gamma, cfg.delta, scale * p[0])
+        bound = B(tau) / scale
     margin = bound - p
     ok = bool(np.all(margin >= -1e-6 * np.maximum(1.0, bound)))
     return ok, margin

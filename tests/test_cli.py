@@ -190,8 +190,19 @@ class TestSimulate:
         # the spacing is derived from L and N, so a file cannot set it
         ("L = 50\nN = 100\nh = 1\nic = planewave\namplitude = 1\nperturbation = 0.5\n"
          "mode = 20\n", "unknown keys: h"),
+        # a plane wave's background is its amplitude, so a file cannot set another
+        ("L = 50\nN = 100\nic = planewave\namplitude = 0.5\nperturbation = 0.5\nmode = 20\n"
+         "background = 0.7\n", "unknown keys: background"),
+        # the keys of another initial-condition kind
+        ("L = 50\nN = 100\nic = planewave\namplitude = 0.5\nperturbation = 0.5\nmode = 20\n"
+         "sigma = 0.6\n", "unknown keys: sigma"),
+        # the rogue profile sits on the initial condition's background
+        ("L = 50\nN = 100\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
+         "dps_t0 = 3.3\ndps_q = 0.7\noutputs = densities, center_density\n",
+         "unknown keys: dps_q"),
     ], ids=["center_density_odd_N", "rogue_reference_h_2", "proximity_window_reversed",
-            "noise_seed_negative", "spacing_set"])
+            "noise_seed_negative", "spacing_set", "planewave_background_set",
+            "other_ic_kind_key", "rogue_background_set"])
     def test_scenario_precondition_rejected_at_load(self, tmp_path, capsys, body, message):
         cfgfile = tmp_path / "precondition.cfg"
         cfgfile.write_text(f"gamma = 0.0025\ndelta = -0.01\nt_end = 1\n{body}")
@@ -369,7 +380,10 @@ def test_attractor_check_manifest_lists_only_the_integrated_run(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["attractor-check", "--scenario", "fig5", "--smoke", "--plot-scripts"],
     ["mi-scan", "--gamma", "1.5", "--delta", "-1.5", "--L", "50", "--N", "100", "--h", "1"],
-], ids=["attractor_check_plot_scripts", "mi_scan_h"])
+    # abbreviations of --window and --plot-scripts
+    ["attractor-check", "--scenario", "fig5", "--smoke", "--win", "3"],
+    ["simulate", "--scenario", "fig5", "--smoke", "--plot"],
+], ids=["attractor_check_plot_scripts", "mi_scan_h", "attractor_check_win", "simulate_plot"])
 def test_removed_flags_exit_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])

@@ -7,7 +7,6 @@ import pytest
 
 from dnlslab.core import (
     AlgebraicBumpIC,
-    BackgroundSpec,
     BoundaryKind,
     ComplexState,
     GeneralizedBCSpec,
@@ -157,13 +156,6 @@ def test_generalized_gate_examples():
 def test_generalized_spec_modulus_invariant():
     with pytest.raises(DomainError):
         GeneralizedBCSpec(zeta_minus=0.5, zeta_plus=0.4, zeta=0.5, G=0.5)
-
-
-def test_background_spec_factory():
-    bg = BackgroundSpec.from_gain_loss(0.5, 0.0025, -0.01)
-    assert bg.A_star == 0.5
-    with pytest.raises(DomainError):
-        BackgroundSpec(A=-1.0, A_star=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnlslab.core import AlgebraicBumpIC, PlaneWaveIC, make_initial_condition
+from dnlslab.core import AlgebraicBumpIC, LatticeConfig, PlaneWaveIC, make_initial_condition
 from dnlslab.errors import ParseError, ValidationError
 from dnlslab.scenarios import (
     ScenarioSpec,
+    ScenarioVariant,
     apply_noise,
     catalog,
     load_scenario,
     smoke_variant,
 )
-from dnlslab.timestep import System
+from dnlslab.timestep import IntegratorSpec, System
 
 
 EXPECTED_NAMES = {
@@ -31,6 +32,28 @@ def test_catalog_is_complete_and_validated():
         # every variant's IC must evaluate on its lattice
         for variant in spec.variants:
             make_initial_condition(variant.ic, spec.cfg)
+
+
+def test_background_is_each_variants_initial_condition():
+    for spec in catalog().values():
+        for variant in spec.variants:
+            assert spec.background == variant.background
+            ic = variant.ic
+            assert variant.background == (ic.amplitude if isinstance(ic, PlaneWaveIC)
+                                          else ic.background)
+            if variant.dps_reference is not None:
+                assert variant.dps_reference.q == spec.background
+
+
+def test_variants_on_different_backgrounds_rejected():
+    with pytest.raises(ValidationError, match="one background"):
+        ScenarioSpec(
+            name="split", description="", systems=(System.DNLS,),
+            cfg=LatticeConfig(L=50.0, N=100, gamma=0.0025, delta=-0.01),
+            variants=(ScenarioVariant("a", AlgebraicBumpIC(0.5, 1.0, 1.0, 4.0)),
+                      ScenarioVariant("b", AlgebraicBumpIC(0.6, 1.0, 1.0, 4.0))),
+            integrator=IntegratorSpec(t_end=1.0), outputs=("densities",),
+        )
 
 
 def test_fig6_resolved_parameters():

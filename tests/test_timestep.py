@@ -185,7 +185,7 @@ class TestSystemRule:
         scenario = self._outcome(lambda: ScenarioSpec(
             name="rule", description="", systems=(system,), cfg=cfg,
             variants=(ScenarioVariant("main", bump),), integrator=spec,
-            outputs=("densities",), background=0.2))
+            outputs=("densities",)))
         closure_fits = (bc is BoundaryKind.DIRICHLET_ZERO) == (system is System.SHIFTED)
         assert self._outcome(wrapper) == with_background
         assert (with_background is None) == closure_fits
