@@ -63,11 +63,13 @@ GROWTH_WINDOW_HIGH = 1e-3
 BAND_GROWTH_EPS = 1e-12
 
 
-def dispersion_frequency(K: int, cfg: LatticeConfig, A_star: float) -> float:
-    """Limit frequency 4k sin^2(hq/2) - A_*^2 of the plane-wave orbit at mode K."""
+def dispersion_frequency(K: int, cfg: LatticeConfig) -> float:
+    """Limit frequency 4k sin^2(hq/2) - A_*^2 of the plane-wave orbit at mode K,
+    with A_* = sqrt(-gamma/delta) the lattice's own critical amplitude."""
+    a_star = critical_amplitude(cfg.gamma, cfg.delta)
     K = _validate_mode(K, cfg.N)
     q = K * math.pi / cfg.L
-    return 4.0 * cfg.k * math.sin(0.5 * cfg.h * q) ** 2 - A_star * A_star
+    return 4.0 * cfg.k * math.sin(0.5 * cfg.h * q) ** 2 - a_star * a_star
 
 
 def amplitude_ode_solution(A0: float, gamma: float, delta: float, t):
@@ -139,30 +141,23 @@ class PlaneWaveFamily:
     omega_tilde: float
 
 
-def plane_wave_family(
-    K: int, A0: float, Theta0: float, cfg: LatticeConfig, A_star: float
-) -> PlaneWaveFamily:
+def plane_wave_family(K: int, A0: float, Theta0: float, cfg: LatticeConfig) -> PlaneWaveFamily:
     K = _validate_mode(K, cfg.N)
     if not (A0 > 0):
         raise DomainError(f"A0 must be positive, got {A0}")
     q = K * math.pi / cfg.L
     return PlaneWaveFamily(
         K=K, q=q, A0=A0, Theta0=Theta0,
-        omega_tilde=dispersion_frequency(K, cfg, A_star),
+        omega_tilde=dispersion_frequency(K, cfg),
     )
 
 
 def plane_wave_exact(
-    family: PlaneWaveFamily,
-    grid: NodeGrid,
-    t: float,
-    cfg: LatticeConfig,
-    A_star: float,
+    family: PlaneWaveFamily, grid: NodeGrid, t: float, cfg: LatticeConfig
 ) -> ComplexState:
     """Evaluate the exact plane-wave solution A(t) exp(i(q x_n - Omega(t)))."""
-    expected = 4.0 * cfg.k * math.sin(0.5 * cfg.h * family.q) ** 2 - A_star * A_star
-    if abs(family.omega_tilde - expected) > 1e-12:
-        raise DomainError("family limit frequency inconsistent with lattice and A_star")
+    if abs(family.omega_tilde - dispersion_frequency(family.K, cfg)) > 1e-12:
+        raise DomainError("family limit frequency inconsistent with the lattice")
     a2 = amplitude_ode_solution(family.A0, cfg.gamma, cfg.delta, t)
     theta = family.Theta0 + phase_increment(family.A0, cfg.gamma, cfg.delta, t)
     omega = 4.0 * cfg.k * math.sin(0.5 * cfg.h * family.q) ** 2 * t - theta
@@ -174,22 +169,22 @@ def plane_wave_exact(
 # Modulation instability
 # ---------------------------------------------------------------------------
 
-def mi_roots(
-    q: float, Q: float, cfg: LatticeConfig, A_star: float, delta: float
-) -> tuple[complex, complex]:
+def mi_roots(q: float, Q: float, cfg: LatticeConfig) -> tuple[complex, complex]:
     """Both roots Lambda_+- of the sideband quadratic at carrier q, sideband Q.
 
         Lambda_+- = i delta A_*^2 +- sqrt(Gamma(Gamma - 2 A_*^2) - delta^2 A_*^4)
 
-    The square root of a negative real is taken as i*sqrt(|.|) (principal
-    branch); both roots are returned so no branch choice can hide growth.
+    with delta and A_* = sqrt(-gamma/delta) the lattice's own.  The square
+    root of a negative real is taken as i*sqrt(|.|) (principal branch); both
+    roots are returned so no branch choice can hide growth.
     The sideband frequency is recovered as Omega_p = Lambda + 2k sin(hQ) sin(hq).
     """
-    a2 = A_star * A_star
+    a_star = critical_amplitude(cfg.gamma, cfg.delta)
+    a2 = a_star * a_star
     gam = 4.0 * cfg.k * math.sin(0.5 * cfg.h * Q) ** 2 * math.cos(cfg.h * q)
-    radicand = gam * (gam - 2.0 * a2) - (delta * a2) ** 2
+    radicand = gam * (gam - 2.0 * a2) - (cfg.delta * a2) ** 2
     root = 1j * math.sqrt(-radicand) if radicand < 0 else complex(math.sqrt(radicand))
-    shift = 1j * delta * a2
+    shift = 1j * cfg.delta * a2
     return shift + root, shift - root
 
 
@@ -275,7 +270,7 @@ def mi_growth_oracle(
     carrier = np.exp(1j * q * grid.x)
     ic = ComplexState((a_star + eps * np.cos(Q * grid.x)) * carrier, t=0.0)
 
-    lam_p, lam_m = mi_roots(q, Q, run_cfg, a_star, delta)
+    lam_p, lam_m = mi_roots(q, Q, run_cfg)
     predicted = max(lam_p.imag, lam_m.imag)
     if predicted > 0:
         # time to traverse [eps/2, 1e-3] plus headroom

@@ -42,7 +42,7 @@ from .products import (
     write_spectrum_csv,
     write_wedge_csv,
 )
-from .proximity import DpsParams, build_proximity_report
+from .proximity import build_proximity_report
 from .scenarios import (
     ScenarioSpec,
     apply_noise,
@@ -184,7 +184,7 @@ def run_scenario(
             floor = 2.0 * variant.background**2
             peak = _first_central_peak(trajs[System.DNLS], cfg, floor)
             if peak is not None:
-                dps_ref = DpsParams(q=dps_ref.q, t0=peak)
+                dps_ref = replace(dps_ref, t0=peak)
                 manifest.extra[f"auto_t0__{variant.label}"] = peak
 
         for system, traj in trajs.items():

@@ -152,26 +152,24 @@ def _al_tail(N0: float, cfg: LatticeConfig) -> float:
     return 2.0 * al_norm_bound(N0, cfg) ** 1.5 / cfg.h
 
 
-def estimate_II_rate(
-    cfg: LatticeConfig, gamma: float, delta: float, A_star: float, N0: float
-) -> float:
+def estimate_II_rate(cfg: LatticeConfig, N0: float) -> float:
     """Linear growth rate of the explicit distance envelope:
 
         alpha = gamma A_* sqrt(Nh) + sqrt(delta^2+1) sqrt(h) A_*^3 N^(3/2)
                 + 2 sqrt(h) (e^{N0/h} - 1)^(3/2),
-    the bounds of ``_al_tail`` with ||u|| <= A_* sqrt(Nh).
+    the bounds of ``_al_tail`` with ||u|| <= A_* sqrt(Nh), where gamma, delta
+    and A_* = sqrt(-gamma/delta) are the lattice's own.
     """
+    a_star = critical_amplitude(cfg.gamma, cfg.delta)
     return (
-        gamma * A_star * math.sqrt(cfg.N * cfg.h)
-        + math.sqrt(delta * delta + 1.0) * math.sqrt(cfg.h) * A_star**3 * cfg.N**1.5
+        cfg.gamma * a_star * math.sqrt(cfg.N * cfg.h)
+        + math.sqrt(cfg.delta * cfg.delta + 1.0) * math.sqrt(cfg.h) * a_star**3 * cfg.N**1.5
         + _al_tail(N0, cfg)
     )
 
 
 def estimate_I_curve(
     cfg: LatticeConfig,
-    gamma: float,
-    delta: float,
     u0_norm_sq: float,
     N0: float,
     times: np.ndarray,
@@ -183,9 +181,10 @@ def estimate_I_curve(
                + 2 sqrt(h) (e^{N0/h} - 1)^(3/2) t,
         F1 = int sqrt(B),  F2 = int B^(3/2),
 
-    the bounds of ``_al_tail`` with ||u(s)||^2 <= B(s).  It is valid under
-    the hypothesis nu*gamma > beta, i.e. the gain/loss run must start below
-    the critical averaged power.
+    the bounds of ``_al_tail`` with ||u(s)||^2 <= B(s), where gamma and delta
+    are the lattice's own and B tends to A_*^2 N h, A_* = sqrt(-gamma/delta).
+    It is valid under the hypothesis nu*gamma > beta, i.e. the gain/loss run
+    must start below the critical averaged power A_*^2.
 
     F1 and F2 are integrated from 0 by a composite 12-node Gauss-Legendre
     rule and accumulated with one cumulative sum.  The poles of
@@ -197,11 +196,12 @@ def estimate_I_curve(
     B is within a relative e^-42 of its limit gamma/beta; past the last of
     those breaks it is within e^-40, so a panel there is exact however long.
     """
+    gamma, delta = cfg.gamma, cfg.delta
     critical_amplitude(gamma, delta)  # DomainError without gain and loss
     if not (u0_norm_sq > 0):
         raise DomainError("the gain/loss run must start from a nonzero state")
     tail_coeff = _al_tail(N0, cfg)
-    B, nu, beta = _power_envelope(cfg, gamma, delta, u0_norm_sq)
+    B, nu, beta = _power_envelope(cfg, u0_norm_sq)
     if nu * gamma <= beta:
         raise HypothesisViolated(
             "estimate I needs nu*gamma > beta, i.e. averaged power of u(0) "
@@ -245,14 +245,14 @@ class SmallnessCheck:
         return self.ok
 
 
-def smallness_condition(cfg: LatticeConfig, gamma: float, delta: float) -> SmallnessCheck:
+def smallness_condition(cfg: LatticeConfig) -> SmallnessCheck:
     """Check the gain-strength smallness requirement behind a moderate
     linear distance growth; both sides are surfaced alongside the verdict."""
-    critical_amplitude(gamma, delta)  # DomainError without gain and loss
-    lhs = gamma**3
+    critical_amplitude(cfg.gamma, cfg.delta)  # DomainError without gain and loss
+    lhs = cfg.gamma**3
     rhs = min(
-        -delta / (cfg.N * cfg.h),
-        -(delta**3) / ((delta * delta + 1.0) * cfg.h * cfg.N**3),
+        -cfg.delta / (cfg.N * cfg.h),
+        -(cfg.delta**3) / ((cfg.delta * cfg.delta + 1.0) * cfg.h * cfg.N**3),
     )
     return SmallnessCheck(ok=lhs < rhs, lhs=lhs, rhs=rhs)
 
@@ -290,20 +290,17 @@ def build_proximity_report(
 ) -> ProximityReport:
     """Assemble distances and both envelopes for a paired (gain/loss, AL) run."""
     times, d_a, d_a_r, _ = distance_curves(traj_u, traj_phi, cfg, window)
-    a_star = critical_amplitude(cfg.gamma, cfg.delta)
     n0 = al_invariant(traj_phi.states[0], cfg)
     u0 = traj_u.values[0]
     initial_distance = lattice_norm(u0 - traj_phi.values[0], cfg)
     u0_norm_sq = lattice_norm(u0, cfg) ** 2
     scale = math.sqrt(cfg.N * cfg.h)
 
-    alpha = estimate_II_rate(cfg, cfg.gamma, cfg.delta, a_star, n0)
+    alpha = estimate_II_rate(cfg, n0)
     rel_times = times - times[0]
     bound_ii = (initial_distance + alpha * rel_times) / scale
     try:
-        bound_i = estimate_I_curve(
-            cfg, cfg.gamma, cfg.delta, u0_norm_sq, n0, rel_times, initial_distance
-        ) / scale
+        bound_i = estimate_I_curve(cfg, u0_norm_sq, n0, rel_times, initial_distance) / scale
     except HypothesisViolated:
         bound_i = None
     return ProximityReport(
@@ -314,7 +311,7 @@ def build_proximity_report(
         bound_II=bound_ii,
         alpha=alpha,
         N0=n0,
-        smallness=smallness_condition(cfg, cfg.gamma, cfg.delta),
+        smallness=smallness_condition(cfg),
         window=window,
         initial_distance=initial_distance,
     )

@@ -53,18 +53,26 @@ KNOWN_OUTPUTS = (
 
 @dataclass(frozen=True)
 class ScenarioVariant:
-    """One initial condition of a scenario, optionally with a rogue-profile
-    reference used by the center-density product."""
+    """One initial condition of a scenario, optionally with the peak time
+    ``dps_t0`` of the rogue-profile reference used by the center-density
+    product."""
 
     label: str
     ic: InitialCondition
-    dps_reference: DpsParams | None = None
+    dps_t0: float | None = None
 
     @property
     def background(self) -> float:
         """The background amplitude of the initial condition: a plane wave's
         amplitude, a bump's background."""
         return self.ic.amplitude if isinstance(self.ic, PlaneWaveIC) else self.ic.background
+
+    @property
+    def dps_reference(self) -> DpsParams | None:
+        """The rogue profile on the variant's background peaking at ``dps_t0``."""
+        if self.dps_t0 is None:
+            return None
+        return DpsParams(q=self.background, t0=self.dps_t0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +112,7 @@ class ScenarioSpec:
             if out in self.outputs and self.cfg.N % 2 != 0:
                 raise ValidationError(f"the {out} product needs an even node count")
         if ("center_density" in self.outputs and not unit_spacing(self.cfg.h)
-                and any(v.dps_reference is not None for v in self.variants)):
+                and any(v.dps_t0 is not None for v in self.variants)):
             raise ValidationError(
                 "the rogue-profile reference of center_density needs unit spacing (h = 1)"
             )
@@ -113,6 +121,7 @@ class ScenarioSpec:
         # Dry-run every IC so catalog errors surface at load time.
         for variant in self.variants:
             make_initial_condition(variant.ic, self.cfg)
+            variant.dps_reference  # DomainError for a profile on a nonpositive background
         # the manifest holds one gate record, so one background per scenario
         backgrounds = {variant.background for variant in self.variants}
         if len(backgrounds) > 1:
@@ -148,8 +157,8 @@ def catalog() -> dict[str, ScenarioSpec]:
 
     algebraic = AlgebraicBumpIC(background=0.5, lam1=1.0, lam2=1.0, lam3=4.0)
     sechbump = SechBumpIC(background=0.5, sigma=0.6, rho=1.0)
-    alg = ScenarioVariant("algebraic", algebraic, DpsParams(q=algebraic.background, t0=2.40))
-    sech = ScenarioVariant("sech", sechbump, DpsParams(q=sechbump.background, t0=3.30))
+    alg = ScenarioVariant("algebraic", algebraic, dps_t0=2.40)
+    sech = ScenarioVariant("sech", sechbump, dps_t0=3.30)
     short_dense = IntegratorSpec(t_end=10.0, sample_every=0.05)
 
     fig9a = ScenarioSpec(
@@ -354,11 +363,8 @@ def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> Scena
             **given("bc"),
         )
         variant = ScenarioVariant(mapping.get("variant", "main"),
-                                  ic_kind(**{key: _number(mapping, key) for key in ic_keys}))
-        if "dps_t0" in mapping:
-            # the rogue profile sits on the initial condition's background
-            variant = replace(variant, dps_reference=DpsParams(
-                q=variant.background, t0=_number(mapping, "dps_t0")))
+                                  ic_kind(**{key: _number(mapping, key) for key in ic_keys}),
+                                  dps_t0=_number(mapping, "dps_t0", None))
         integrator = IntegratorSpec(
             t_end=_number(mapping, "t_end"),
             **given("method", "dt", "rtol", "atol", "sample_every"),

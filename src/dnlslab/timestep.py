@@ -534,7 +534,7 @@ def power_balance_residual(traj: Trajectory, cfg: LatticeConfig) -> np.ndarray:
     return np.abs(dWdt - 2.0 * cfg.gamma * W[1:-1] - 2.0 * cfg.delta * Q[1:-1])
 
 
-def _power_envelope(cfg: LatticeConfig, gamma: float, delta: float, u0_norm_sq: float):
+def _power_envelope(cfg: LatticeConfig, u0_norm_sq: float):
     """The closed-form power bound in the lattice norm: B(s) bounds ||u(s)||^2
     = N h P_a(s) on a gain/loss run with ||u(0)||^2 = u0_norm_sq,
 
@@ -544,11 +544,11 @@ def _power_envelope(cfg: LatticeConfig, gamma: float, delta: float, u0_norm_sq: 
     Returns (B, nu, beta).
     """
     nu = 1.0 / u0_norm_sq
-    beta = -delta / (cfg.N * cfg.h)
+    beta = -cfg.delta / (cfg.N * cfg.h)
 
     def B(s):
-        decay = np.exp(-2.0 * gamma * s)
-        return gamma / (gamma * decay * nu + beta * (1.0 - decay))
+        decay = np.exp(-2.0 * cfg.gamma * s)
+        return cfg.gamma / (cfg.gamma * decay * nu + beta * (1.0 - decay))
 
     return B, nu, beta
 
@@ -573,7 +573,7 @@ def power_bound_check(traj: Trajectory, cfg: LatticeConfig) -> tuple[bool, np.nd
         bound = np.zeros_like(tau)
     else:
         scale = cfg.N * cfg.h
-        B, _, _ = _power_envelope(cfg, cfg.gamma, cfg.delta, scale * p[0])
+        B, _, _ = _power_envelope(cfg, scale * p[0])
         bound = B(tau) / scale
     margin = bound - p
     ok = bool(np.all(margin >= -1e-6 * np.maximum(1.0, bound)))

@@ -125,8 +125,8 @@ def test_criterion_02_exact_solution_residuals(small_lattice):
 
 def test_criterion_03_power_bound_reproduction(small_lattice):
     cfg = small_lattice
-    fam = plane_wave_family(45, 3.0, 0.0, cfg, 1.0)
-    ic = plane_wave_exact(fam, node_grid(cfg), 0.0, cfg, 1.0)
+    fam = plane_wave_family(45, 3.0, 0.0, cfg)
+    ic = plane_wave_exact(fam, node_grid(cfg), 0.0, cfg)
     traj = integrate(System.DNLS, ic, cfg, IntegratorSpec(t_end=10.0, sample_every=0.1))
     from dnlslab.analysis import amplitude_ode_solution
 
@@ -273,9 +273,9 @@ def test_criterion_09_distance_estimates(wide_lattice):
 def test_criterion_10_property_suites(small_lattice):
     cfg = small_lattice
     grid = node_grid(cfg)
-    fam = plane_wave_family(45, 1.0, 0.0, cfg, 1.0)
-    ic = plane_wave_exact(fam, grid, 0.0, cfg, 1.0)
-    ref = plane_wave_exact(fam, grid, 2.0, cfg, 1.0)
+    fam = plane_wave_family(45, 1.0, 0.0, cfg)
+    ic = plane_wave_exact(fam, grid, 0.0, cfg)
+    ref = plane_wave_exact(fam, grid, 2.0, cfg)
 
     # fourth-order convergence of the fixed-step integrator
     def end_error(dt):
@@ -300,7 +300,7 @@ def test_criterion_10_property_suites(small_lattice):
         a_star = critical_amplitude(gamma, delta)
         q, Q = rng.uniform(0, math.pi, size=2)
         gam = 4.0 * cfg.k * math.sin(0.5 * cfg.h * Q) ** 2 * math.cos(cfg.h * q)
-        for lam in mi_roots(q, Q, cfg, a_star, delta):
+        for lam in mi_roots(q, Q, replace(cfg, gamma=gamma, delta=delta)):
             assert abs(lam**2 - 2j * delta * a_star**2 * lam
                        - gam * (gam - 2.0 * a_star**2)) < 1e-10
 

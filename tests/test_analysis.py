@@ -1,5 +1,6 @@
 """Plane-wave family, modulation instability, spectra, attractor verdicts."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from dnlslab.core import (
     node_grid,
 )
 from dnlslab.errors import DomainError, LengthMismatch, WavenumberError, WindowTooShort
+from dnlslab.proximity import estimate_I_curve, estimate_II_rate, smallness_condition
 from dnlslab.timestep import IntegratorSpec, System, integrate
 
 
@@ -39,27 +41,44 @@ def cfg():
     return LatticeConfig(L=50.0, N=100, gamma=1.5, delta=-1.5)
 
 
+@pytest.mark.parametrize("no_pair", [{"gamma": 0.0}, {"delta": 0.0}], ids=["gamma0", "delta0"])
+@pytest.mark.parametrize("evaluate", [
+    lambda cfg: dispersion_frequency(5, cfg),
+    lambda cfg: plane_wave_family(5, 0.5, 0.0, cfg),
+    lambda cfg: mi_roots(0.3, 0.5, cfg),
+    lambda cfg: estimate_II_rate(cfg, 0.0),
+    lambda cfg: estimate_I_curve(cfg, 90.0, 0.0, [0.0, 1.0]),
+    smallness_condition,
+], ids=["dispersion_frequency", "plane_wave_family", "mi_roots", "estimate_II_rate",
+        "estimate_I_curve", "smallness_condition"])
+def test_lattice_without_gain_and_loss_rejected(cfg, evaluate, no_pair):
+    # A_* = sqrt(-gamma/delta), which each of these reads off the lattice,
+    # exists only with linear gain and nonlinear loss
+    with pytest.raises(DomainError):
+        evaluate(replace(cfg, **no_pair))
+
+
 # ---------------------------------------------------------------------------
 # Dispersion and amplitude dynamics
 # ---------------------------------------------------------------------------
 
 class TestDispersion:
     def test_zero_mode(self, cfg):
-        assert dispersion_frequency(0, cfg, 1.0) == -1.0
+        assert dispersion_frequency(0, cfg) == -1.0
 
     def test_reference_mode(self, cfg):
         expected = 4.0 * math.sin(0.45 * math.pi) ** 2 - 1.0
-        assert dispersion_frequency(45, cfg, 1.0) == pytest.approx(expected, abs=1e-15)
-        assert dispersion_frequency(45, cfg, 1.0) == pytest.approx(2.90211, abs=1e-5)
+        assert dispersion_frequency(45, cfg) == pytest.approx(expected, abs=1e-15)
+        assert dispersion_frequency(45, cfg) == pytest.approx(2.90211, abs=1e-5)
 
     def test_band_edge(self, cfg):
-        assert dispersion_frequency(50, cfg, 1.0) == pytest.approx(4.0 * cfg.k - 1.0)
+        assert dispersion_frequency(50, cfg) == pytest.approx(4.0 * cfg.k - 1.0)
 
     def test_mode_validation(self, cfg):
         with pytest.raises(WavenumberError):
-            dispersion_frequency(51, cfg, 1.0)
+            dispersion_frequency(51, cfg)
         with pytest.raises(WavenumberError):
-            dispersion_frequency(-1, cfg, 1.0)
+            dispersion_frequency(-1, cfg)
 
 
 class TestAmplitudeSolution:
@@ -159,16 +178,16 @@ class TestPhaseIncrement:
 
 class TestPlaneWaveExact:
     def test_matches_initial_condition_at_t0(self, cfg):
-        fam = plane_wave_family(45, 3.0, 0.0, cfg, 1.0)
-        w0 = plane_wave_exact(fam, node_grid(cfg), 0.0, cfg, 1.0)
+        fam = plane_wave_family(45, 3.0, 0.0, cfg)
+        w0 = plane_wave_exact(fam, node_grid(cfg), 0.0, cfg)
         ic = make_initial_condition(PlaneWaveIC(1.0, 2.0, 45), cfg)
         assert np.max(np.abs(w0.values - ic.values)) < 1e-12
 
     def test_constant_amplitude_member_is_attractor_orbit(self, cfg):
-        fam = plane_wave_family(45, 1.0, 0.0, cfg, 1.0)
+        fam = plane_wave_family(45, 1.0, 0.0, cfg)
         x = node_grid(cfg).x
         for t in (0.0, 1.3, 4.7):
-            w = plane_wave_exact(fam, node_grid(cfg), t, cfg, 1.0)
+            w = plane_wave_exact(fam, node_grid(cfg), t, cfg)
             expected = np.exp(1j * (fam.q * x - fam.omega_tilde * t))
             assert np.max(np.abs(w.values - expected)) < 1e-9
 
@@ -176,17 +195,17 @@ class TestPlaneWaveExact:
     def test_solves_lattice_by_finite_differences(self, cfg, t):
         from dnlslab.core import dnls_rhs
 
-        fam = plane_wave_family(45, 3.0, 0.0, cfg, 1.0)
+        fam = plane_wave_family(45, 3.0, 0.0, cfg)
         grid = node_grid(cfg)
         dt = 1e-5
-        wp = plane_wave_exact(fam, grid, t + dt, cfg, 1.0)
-        wm = plane_wave_exact(fam, grid, t - dt, cfg, 1.0)
+        wp = plane_wave_exact(fam, grid, t + dt, cfg)
+        wm = plane_wave_exact(fam, grid, t - dt, cfg)
         numeric = (wp.values - wm.values) / (2 * dt)
-        analytic = dnls_rhs(plane_wave_exact(fam, grid, t, cfg, 1.0), cfg).values
+        analytic = dnls_rhs(plane_wave_exact(fam, grid, t, cfg), cfg).values
         assert np.max(np.abs(numeric - analytic)) < 1e-6
 
     def test_family_invariant(self, cfg):
-        fam = plane_wave_family(45, 1.0, 0.0, cfg, 1.0)
+        fam = plane_wave_family(45, 1.0, 0.0, cfg)
         assert fam.q * cfg.L / math.pi == pytest.approx(45.0, abs=1e-12)
         expected = 4.0 * cfg.k * math.sin(0.5 * cfg.h * fam.q) ** 2 - 1.0
         assert abs(fam.omega_tilde - expected) < 1e-12
@@ -198,14 +217,14 @@ class TestPlaneWaveExact:
 
 class TestMiRoots:
     def test_marginal_sideband(self, cfg):
-        lam_p, lam_m = mi_roots(0.9, 0.0, cfg, 1.0, -1.5)
+        lam_p, lam_m = mi_roots(0.9, 0.0, cfg)
         assert lam_p == 0
         assert lam_m == pytest.approx(-3j)
 
     def test_negative_cos_carrier_is_stable(self, cfg):
         q = 0.9 * math.pi  # cos(hq) < 0
         for Q in np.linspace(0.0, math.pi, 51):
-            lam_p, lam_m = mi_roots(q, float(Q), cfg, 1.0, -1.5)
+            lam_p, lam_m = mi_roots(q, float(Q), cfg)
             assert lam_p.imag <= 1e-14
             assert lam_m.imag <= 1e-14
 
@@ -218,13 +237,13 @@ class TestMiRoots:
             q, Q = rng.uniform(0, math.pi, size=2)
             gam = 4.0 * cfg.k * math.sin(0.5 * cfg.h * Q) ** 2 * math.cos(cfg.h * q)
             a2 = a_star * a_star
-            for lam in mi_roots(q, Q, cfg, a_star, delta):
+            for lam in mi_roots(q, Q, replace(cfg, gamma=gamma, delta=delta)):
                 residual = abs(lam**2 - 2j * delta * a2 * lam - gam * (gam - 2.0 * a2))
                 assert residual < 1e-10
 
     def test_sideband_frequency_shift(self, cfg):
         q, Q = 0.3, 0.5
-        lam_p, _ = mi_roots(q, Q, cfg, 1.0, -1.5)
+        lam_p, _ = mi_roots(q, Q, cfg)
         omega_p = sideband_frequency(lam_p, q, Q, cfg)
         shift = 2.0 * cfg.k * math.sin(cfg.h * Q) * math.sin(cfg.h * q)
         assert omega_p - lam_p == pytest.approx(shift)
@@ -256,8 +275,7 @@ class TestMiScan:
         a_star = critical_amplitude(cfg.gamma, cfg.delta)
         for K in range(N // 2 + 1):
             scan = mi_scan(K, cfg, a_star, cfg.delta)
-            expected = [max(lam.imag for lam in mi_roots(scan.q, float(Q), cfg, a_star,
-                                                         cfg.delta))
+            expected = [max(lam.imag for lam in mi_roots(scan.q, float(Q), cfg))
                         for Q in scan.Qs]
             assert scan.growth.tobytes() == np.array(expected).tobytes(), K
 
@@ -362,8 +380,8 @@ def test_fold_mode():
 
 class TestAttractorVerdict:
     def test_exact_orbit_converges_immediately(self, cfg):
-        fam = plane_wave_family(45, 1.0, 0.0, cfg, 1.0)
-        ic = plane_wave_exact(fam, node_grid(cfg), 0.0, cfg, 1.0)
+        fam = plane_wave_family(45, 1.0, 0.0, cfg)
+        ic = plane_wave_exact(fam, node_grid(cfg), 0.0, cfg)
         traj = integrate(System.DNLS, ic, cfg, IntegratorSpec(t_end=2.0, sample_every=0.1))
         verdict = attractor_verdict(traj, cfg, 1.0, tol_amp=1e-3, t_window=2.0)
         assert verdict.converged

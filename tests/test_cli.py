@@ -200,9 +200,13 @@ class TestSimulate:
         ("L = 50\nN = 100\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
          "dps_t0 = 3.3\ndps_q = 0.7\noutputs = densities, center_density\n",
          "unknown keys: dps_q"),
+        # and needs that background to be positive
+        ("L = 50\nN = 100\nic = sech\nbackground = 0\nsigma = 0.6\nrho = 1.0\n"
+         "dps_t0 = 3.3\noutputs = densities, center_density\n",
+         "q must be positive"),
     ], ids=["center_density_odd_N", "rogue_reference_h_2", "proximity_window_reversed",
             "noise_seed_negative", "spacing_set", "planewave_background_set",
-            "other_ic_kind_key", "rogue_background_set"])
+            "other_ic_kind_key", "rogue_background_set", "rogue_background_zero"])
     def test_scenario_precondition_rejected_at_load(self, tmp_path, capsys, body, message):
         cfgfile = tmp_path / "precondition.cfg"
         cfgfile.write_text(f"gamma = 0.0025\ndelta = -0.01\nt_end = 1\n{body}")

@@ -55,15 +55,15 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
         "from dnlslab.proximity import build_proximity_report, estimate_I_curve\n"
         "from dnlslab.timestep import IntegratorSpec, System, integrate\n"
         "small = LatticeConfig(L=50.0, N=100, gamma=1.5, delta=-1.5)\n"
-        "fam = plane_wave_family(5, 0.5, 0.0, small, 1.0)\n"
-        "w = plane_wave_exact(fam, node_grid(small), 5.0, small, 1.0)\n"
+        "fam = plane_wave_family(5, 0.5, 0.0, small)\n"
+        "w = plane_wave_exact(fam, node_grid(small), 5.0, small)\n"
         "assert np.all(np.isfinite(w.values))\n"
         "scan = mi_scan(24, small, 1.0, -1.5)\n"
         "m = int(np.argmax(scan.growth))\n"
         "fit = mi_growth_oracle(24, m, small, 1.5, -1.5)\n"
         "assert fit.grew and abs(fit.rate / scan.growth[m] - 1) < 0.05\n"
         "wide = LatticeConfig(L=200.0, N=400, gamma=0.0025, delta=-0.01)\n"
-        "curve = estimate_I_curve(wide, 0.0025, -0.01, 90.0, 0.5, np.linspace(0.0, 10.0, 21), 0.25)\n"
+        "curve = estimate_I_curve(wide, 90.0, 0.5, np.linspace(0.0, 10.0, 21), 0.25)\n"
         "assert np.all(np.diff(curve) > 0)\n"
         "u0 = make_initial_condition(SechBumpIC(0.45, 0.05, 1.0), wide)\n"
         "spec = IntegratorSpec(t_end=1.0, sample_every=0.5)\n"

@@ -1,6 +1,7 @@
 """Rogue profile, integrable-lattice invariant, and distance estimates."""
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,14 +32,15 @@ from dnlslab.proximity import (
 from dnlslab.timestep import IntegratorSpec, Method, System, integrate
 
 
-def estimate_I_closed_forms(cfg, gamma, delta, u0_norm_sq, times):
+def estimate_I_closed_forms(cfg, u0_norm_sq, times):
     """Printed antiderivative forms of F1 and F2, an oracle for the quadrature.
 
     The F2 form matches the quadrature; the printed F1 form is negative near
     t = 0 (it does not satisfy F1(0) = 0) and is therefore untrusted.  The
     quadrature in ``estimate_I_curve`` is the authoritative implementation.
     """
-    B, nu, beta = _power_envelope(cfg, gamma, delta, u0_norm_sq)
+    gamma = cfg.gamma
+    B, nu, beta = _power_envelope(cfg, u0_norm_sq)
     if nu * gamma <= beta:
         raise HypothesisViolated("closed forms need nu*gamma > beta")
     t = np.asarray(times, dtype=np.float64)
@@ -241,22 +243,25 @@ class TestDistanceCurves:
 class TestEstimateII:
     def test_reference_rate_by_terms(self, cfg_wide):
         # gamma*A*sqrt(Nh) = 0.025;  sqrt(delta^2+1)*sqrt(h)*A*^3*N^(3/2) ~ 1000.05
-        alpha = estimate_II_rate(cfg_wide, 0.0025, -0.01, 0.5, 0.0)
+        alpha = estimate_II_rate(cfg_wide, 0.0)
         term1 = 0.0025 * 0.5 * math.sqrt(400.0)
         term2 = math.sqrt(0.01**2 + 1.0) * 0.125 * 400**1.5
         assert term1 == pytest.approx(0.025)
         assert alpha == pytest.approx(term1 + term2, rel=1e-14)
         assert alpha == pytest.approx(1000.075, abs=1e-3)
 
-    def test_degenerate_rate_is_zero(self, cfg_wide):
-        assert estimate_II_rate(cfg_wide, 0.0025, -0.01, 0.0, 0.0) == 0.0
+    def test_rate_needs_gain(self, cfg_wide):
+        # without gain there is no critical amplitude A_* to bound ||u|| by
+        with pytest.raises(DomainError):
+            estimate_II_rate(replace(cfg_wide, gamma=0.0), 0.0)
 
     def test_node_count_scaling(self):
-        cfg1 = LatticeConfig(L=200.0, N=400, gamma=0.0, delta=-0.01)
-        cfg2 = LatticeConfig(L=400.0, N=800, gamma=0.0, delta=-0.01)
-        # gamma = 0 isolates the cubic term, which scales like N^(3/2)
-        r1 = estimate_II_rate(cfg1, 0.0, -0.01, 0.5, 0.0)
-        r2 = estimate_II_rate(cfg2, 0.0, -0.01, 0.5, 0.0)
+        cfg1 = LatticeConfig(L=200.0, N=400, gamma=0.0025, delta=-0.01)
+        cfg2 = LatticeConfig(L=400.0, N=800, gamma=0.0025, delta=-0.01)
+        # less the linear term gamma A_* sqrt(Nh), the rate is the cubic
+        # term, which scales like N^(3/2) at h = 1
+        r1, r2 = (estimate_II_rate(cfg, 0.0) - cfg.gamma * 0.5 * math.sqrt(cfg.N * cfg.h)
+                  for cfg in (cfg1, cfg2))
         assert r2 / r1 == pytest.approx(2.0**1.5, rel=1e-12)
 
 
@@ -265,25 +270,24 @@ class TestEstimateI:
         # averaged power above the critical power: nu*gamma <= beta
         u0_norm_sq = 0.3**2 * 400 * 1.0 * 1.2
         with pytest.raises(HypothesisViolated):
-            estimate_I_curve(cfg_wide, 0.0025, -0.01, 120.0, 0.0, np.array([0.0, 1.0]))
+            estimate_I_curve(cfg_wide, 120.0, 0.0, np.array([0.0, 1.0]))
 
     def test_power_envelope_endpoints(self, cfg_wide):
-        B, nu, beta = _power_envelope(cfg_wide, 0.0025, -0.01, 90.0)
+        B, nu, beta = _power_envelope(cfg_wide, 90.0)
         assert B(0.0) == pytest.approx(90.0, rel=1e-14)
         assert B(1e9) == pytest.approx(0.25 * 400, rel=1e-12)
 
     def test_curve_starts_at_initial_distance_and_increases(self, cfg_wide):
         times = np.linspace(0.0, 10.0, 21)
-        curve = estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, 0.5, times,
+        curve = estimate_I_curve(cfg_wide, 90.0, 0.5, times,
                                  initial_distance=0.25)
         assert curve[0] == pytest.approx(0.25, abs=1e-15)
         assert np.all(np.diff(curve) > 0)
 
     def test_partition_self_consistency(self, cfg_wide):
         # the panel rule must agree across different sample partitions
-        coarse = estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, 0.0, np.array([0.0, 10.0]))
-        fine = estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, 0.0,
-                                np.linspace(0.0, 10.0, 41))
+        coarse = estimate_I_curve(cfg_wide, 90.0, 0.0, np.array([0.0, 10.0]))
+        fine = estimate_I_curve(cfg_wide, 90.0, 0.0, np.linspace(0.0, 10.0, 41))
         assert abs(coarse[-1] - fine[-1]) < 1e-8
 
     @pytest.mark.parametrize("times", [
@@ -298,7 +302,7 @@ class TestEstimateI:
             # the below-critical sech bump of the paired proximity run
             u0 = make_initial_condition(SechBumpIC(0.45, 0.05, 1.0), cfg_wide)
             u0_norm_sq = lattice_norm(u0.values, cfg_wide) ** 2
-        B, _, _ = _power_envelope(cfg_wide, 0.0025, -0.01, u0_norm_sq)
+        B, _, _ = _power_envelope(cfg_wide, u0_norm_sq)
         f1 = f2 = prev = 0.0
         expected = []
         for t in times:
@@ -307,7 +311,7 @@ class TestEstimateI:
                 f2 += quad(lambda s: B(s) ** 1.5, prev, t, epsabs=0.0, epsrel=1e-13)[0]
                 prev = t
             expected.append(0.25 + 0.0025 * f1 + math.sqrt(0.01**2 + 1.0) * f2)
-        curve = estimate_I_curve(cfg_wide, 0.0025, -0.01, u0_norm_sq, 0.0, times, 0.25)
+        curve = estimate_I_curve(cfg_wide, u0_norm_sq, 0.0, times, 0.25)
         np.testing.assert_allclose(curve, expected, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("N", [50, 100, 200])  # h = 2, 1, 0.5
@@ -317,10 +321,10 @@ class TestEstimateI:
         # like e^{-2 gamma t}) estimate I grows at estimate II's rate
         cfg = LatticeConfig(L=50.0, N=N, gamma=1.5, delta=-1.5)
         times = np.array([0.0, 40.0, 50.0])
-        curve = estimate_I_curve(cfg, 1.5, -1.5, 1.0, 0.3, times)
-        no_tail = estimate_I_curve(cfg, 1.5, -1.5, 1.0, 0.0, times)
-        alpha = estimate_II_rate(cfg, 1.5, -1.5, 1.0, 0.3)
-        tail = alpha - estimate_II_rate(cfg, 1.5, -1.5, 1.0, 0.0)
+        curve = estimate_I_curve(cfg, 1.0, 0.3, times)
+        no_tail = estimate_I_curve(cfg, 1.0, 0.0, times)
+        alpha = estimate_II_rate(cfg, 0.3)
+        tail = alpha - estimate_II_rate(cfg, 0.0)
         assert (curve[2] - no_tail[2]) / 50.0 == pytest.approx(tail, rel=1e-10)
         assert (curve[2] - curve[1]) / 10.0 == pytest.approx(alpha, rel=1e-9)
 
@@ -329,7 +333,7 @@ class TestEstimateI:
         # turn F(0) into inf * 0 = nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve = estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, 800.0, [0.0, 1.0], 0.1)
+            curve = estimate_I_curve(cfg_wide, 90.0, 800.0, [0.0, 1.0], 0.1)
         assert curve[0] == 0.1
         assert curve[1] == math.inf
 
@@ -339,20 +343,20 @@ class TestEstimateI:
         # float range below the clamp N0/h = 700 of e^{N0/h}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            curve = estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, n0, [0.0, 1.0], 0.1)
-            rate = estimate_II_rate(cfg_wide, 0.0025, -0.01, 0.5, n0)
+            curve = estimate_I_curve(cfg_wide, 90.0, n0, [0.0, 1.0], 0.1)
+            rate = estimate_II_rate(cfg_wide, n0)
         assert curve[0] == 0.1
         assert curve[1] == rate == math.inf
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_times_rejected(self, cfg_wide, bad):
         with pytest.raises(DomainError):
-            estimate_I_curve(cfg_wide, 0.0025, -0.01, 90.0, 0.0, np.array([0.0, 2.0, bad]))
+            estimate_I_curve(cfg_wide, 90.0, 0.0, np.array([0.0, 2.0, bad]))
 
     def test_closed_form_f2_matches_quadrature(self, cfg_wide, quad):
         times = np.linspace(0.0, 10.0, 11)
-        _, f2_closed = estimate_I_closed_forms(cfg_wide, 0.0025, -0.01, 90.0, times)
-        B, _, _ = _power_envelope(cfg_wide, 0.0025, -0.01, 90.0)
+        _, f2_closed = estimate_I_closed_forms(cfg_wide, 90.0, times)
+        B, _, _ = _power_envelope(cfg_wide, 90.0)
         f2_quad = np.array([
             quad(lambda s: B(s) ** 1.5, 0.0, t, epsabs=1e-12, epsrel=1e-12)[0]
             for t in times
@@ -362,15 +366,13 @@ class TestEstimateI:
     def test_printed_f1_is_untrusted_near_zero(self, cfg_wide):
         # the printed antiderivative violates F1(0) = 0, which is why the
         # quadrature form is authoritative
-        f1_closed, _ = estimate_I_closed_forms(
-            cfg_wide, 0.0025, -0.01, 90.0, np.array([0.0])
-        )
+        f1_closed, _ = estimate_I_closed_forms(cfg_wide, 90.0, np.array([0.0]))
         assert f1_closed[0] < 0.0
 
 
 class TestSmallness:
     def test_reference_evaluation(self, cfg_wide):
-        check = smallness_condition(cfg_wide, 0.0025, -0.01)
+        check = smallness_condition(cfg_wide)
         assert not check.ok
         assert check.lhs == pytest.approx(1.5625e-8, rel=1e-10)
         # the cubic term dominates the minimum
@@ -379,13 +381,12 @@ class TestSmallness:
         )
 
     def test_vanishing_gain_passes(self, cfg_wide):
-        assert smallness_condition(cfg_wide, 1e-8, -0.01).ok
+        assert smallness_condition(replace(cfg_wide, gamma=1e-8)).ok
 
     def test_right_side_shrinks_with_node_count(self):
         small = LatticeConfig(L=200.0, N=400, gamma=0.0025, delta=-0.01)
         large = LatticeConfig(L=400.0, N=800, gamma=0.0025, delta=-0.01)
-        assert (smallness_condition(large, 0.0025, -0.01).rhs
-                < smallness_condition(small, 0.0025, -0.01).rhs)
+        assert smallness_condition(large).rhs < smallness_condition(small).rhs
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Catalog validation and the scenario file parser."""
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dnlslab.core import AlgebraicBumpIC, LatticeConfig, PlaneWaveIC, make_initial_condition
-from dnlslab.errors import ParseError, ValidationError
+from dnlslab.errors import DomainError, ParseError, ValidationError
+from dnlslab.proximity import DpsParams
 from dnlslab.scenarios import (
     ScenarioSpec,
     ScenarioVariant,
@@ -54,6 +56,18 @@ def test_variants_on_different_backgrounds_rejected():
                       ScenarioVariant("b", AlgebraicBumpIC(0.6, 1.0, 1.0, 4.0))),
             integrator=IntegratorSpec(t_end=1.0), outputs=("densities",),
         )
+
+
+def test_rogue_profile_sits_on_its_variants_background():
+    spec = catalog()["fig11"]
+    variant = spec.variants[0]
+    # the profile's background is the initial condition's, not a field
+    with pytest.raises(TypeError):
+        replace(variant, dps_reference=DpsParams(q=0.7, t0=2.4))
+    moved = replace(variant, ic=replace(variant.ic, background=0.7))
+    assert moved.dps_reference == DpsParams(q=0.7, t0=variant.dps_t0)
+    with pytest.raises(DomainError):
+        replace(spec, variants=(replace(variant, ic=replace(variant.ic, background=0.0)),))
 
 
 def test_fig6_resolved_parameters():

@@ -54,8 +54,8 @@ def cfg():
 
 
 def _attractor_orbit(cfg, K=45, A0=1.0):
-    fam = plane_wave_family(K, A0, 0.0, cfg, critical_amplitude(cfg.gamma, cfg.delta))
-    return plane_wave_exact(fam, node_grid(cfg), 0.0, cfg, 1.0), fam
+    fam = plane_wave_family(K, A0, 0.0, cfg)
+    return plane_wave_exact(fam, node_grid(cfg), 0.0, cfg), fam
 
 
 class TestIntegratorSpec:
@@ -263,7 +263,7 @@ class TestRhsHooks:
 class TestOrderAndTolerance:
     def test_rk4_fourth_order_on_exact_orbit(self, cfg):
         ic, fam = _attractor_orbit(cfg)
-        ref = plane_wave_exact(fam, node_grid(cfg), 2.0, cfg, 1.0)
+        ref = plane_wave_exact(fam, node_grid(cfg), 2.0, cfg)
 
         def end_error(dt):
             spec = IntegratorSpec(t_end=2.0, method=Method.RK4_FIXED, dt=dt,
@@ -315,7 +315,6 @@ class TestOrderAndTolerance:
         # at 1e-8), so it is compared there at a 10x tighter rtol.
         ic, fam = _attractor_orbit(cfg, K=K, A0=3.0)
         calls = _count_hook(monkeypatch, "dnls_rhs_values")
-        a_star = critical_amplitude(cfg.gamma, cfg.delta)
         work, error = {}, {}
         for method, rtol in ((Method.DP54_ADAPTIVE, rtol_dp54), (Method.DOP853, rtol_dop853)):
             calls.clear()
@@ -324,8 +323,7 @@ class TestOrderAndTolerance:
                                             atol=rtol / 100, sample_every=0.5))
             work[method] = len(calls)
             error[method] = max(
-                np.max(np.abs(s.values - plane_wave_exact(fam, node_grid(cfg), t, cfg,
-                                                          a_star).values))
+                np.max(np.abs(s.values - plane_wave_exact(fam, node_grid(cfg), t, cfg).values))
                 for t, s in zip(traj.times, traj.states))
         assert work[Method.DOP853] < work[Method.DP54_ADAPTIVE]
         assert error[Method.DOP853] < error[Method.DP54_ADAPTIVE]
@@ -393,7 +391,6 @@ class TestDenseOutput:
     def test_samples_on_exact_orbit_keep_tolerance(self, monkeypatch, cfg, A0):
         ic, fam = _attractor_orbit(cfg, A0=A0)
         rtol, atol = 1e-9, 1e-11
-        a_star = critical_amplitude(cfg.gamma, cfg.delta)
         calls = _count_hook(monkeypatch, "dnls_rhs_values")
         for method in ADAPTIVE:
             calls.clear()
@@ -407,7 +404,7 @@ class TestDenseOutput:
             # add up: the allowance is one per trial, of 12 evaluations each.
             steps = 1 if method is Method.DP54_ADAPTIVE else len(calls) // 12
             for t, state in zip(traj.times, traj.states):
-                exact = plane_wave_exact(fam, node_grid(cfg), t, cfg, a_star).values
+                exact = plane_wave_exact(fam, node_grid(cfg), t, cfg).values
                 allowance = 10.0 * steps * (atol + rtol * np.max(np.abs(exact)))
                 assert np.max(np.abs(state.values - exact)) < allowance
 
