@@ -24,7 +24,6 @@ import numpy as np
 from .core import (
     ComplexState,
     LatticeConfig,
-    NodeGrid,
     _validate_mode,
     check_length,
     critical_amplitude,
@@ -54,6 +53,8 @@ __all__ = [
     "attractor_verdict",
 ]
 
+# Sideband perturbation amplitude eps of the growth oracle's initial state.
+GROWTH_EPS = 1e-6
 # Linear-window thresholds for the growth-rate fit, applied to the modal
 # amplitude |A_M|/(h*N): enter at 10*eps, leave before nonlinearity at 1e-3.
 GROWTH_WINDOW_LOW_FACTOR = 10.0
@@ -61,6 +62,9 @@ GROWTH_WINDOW_HIGH = 1e-3
 # Band membership threshold: absorbs roundoff growth (~1e-16) at the band
 # edge where cos(hq) evaluates to fp noise instead of exact zero.
 BAND_GROWTH_EPS = 1e-12
+# Default tolerance of the attractor verdict on |P_a - A_*^2| and the
+# per-node modulus variance.
+ATTRACTOR_TOL = 1e-3
 
 
 def dispersion_frequency(K: int, cfg: LatticeConfig) -> float:
@@ -132,36 +136,41 @@ def slant_asymptote_offset(A0: float, gamma: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class PlaneWaveFamily:
-    """One member of the exact plane-wave family, pinned by K, A(0), Theta(0)."""
+    """One member of the exact plane-wave family on the lattice ``cfg``,
+    pinned by K, A(0), Theta(0)."""
 
     K: int
-    q: float
     A0: float
     Theta0: float
-    omega_tilde: float
+    cfg: LatticeConfig
+
+    @property
+    def q(self) -> float:
+        """The carrier wavenumber K*pi/L."""
+        return self.K * math.pi / self.cfg.L
+
+    @property
+    def omega_tilde(self) -> float:
+        """The limit frequency of the orbit, ``dispersion_frequency(K, cfg)``."""
+        return dispersion_frequency(self.K, self.cfg)
 
 
 def plane_wave_family(K: int, A0: float, Theta0: float, cfg: LatticeConfig) -> PlaneWaveFamily:
     K = _validate_mode(K, cfg.N)
     if not (A0 > 0):
         raise DomainError(f"A0 must be positive, got {A0}")
-    q = K * math.pi / cfg.L
-    return PlaneWaveFamily(
-        K=K, q=q, A0=A0, Theta0=Theta0,
-        omega_tilde=dispersion_frequency(K, cfg),
-    )
+    critical_amplitude(cfg.gamma, cfg.delta)  # DomainError without gain and loss
+    return PlaneWaveFamily(K=K, A0=A0, Theta0=Theta0, cfg=cfg)
 
 
-def plane_wave_exact(
-    family: PlaneWaveFamily, grid: NodeGrid, t: float, cfg: LatticeConfig
-) -> ComplexState:
-    """Evaluate the exact plane-wave solution A(t) exp(i(q x_n - Omega(t)))."""
-    if abs(family.omega_tilde - dispersion_frequency(family.K, cfg)) > 1e-12:
-        raise DomainError("family limit frequency inconsistent with the lattice")
+def plane_wave_exact(family: PlaneWaveFamily, t: float) -> ComplexState:
+    """Evaluate the exact plane-wave solution A(t) exp(i(q x_n - Omega(t)))
+    on the family's lattice."""
+    cfg, q = family.cfg, family.q
     a2 = amplitude_ode_solution(family.A0, cfg.gamma, cfg.delta, t)
     theta = family.Theta0 + phase_increment(family.A0, cfg.gamma, cfg.delta, t)
-    omega = 4.0 * cfg.k * math.sin(0.5 * cfg.h * family.q) ** 2 * t - theta
-    values = math.sqrt(a2) * np.exp(1j * (family.q * grid.x - omega))
+    omega = 4.0 * cfg.k * math.sin(0.5 * cfg.h * q) ** 2 * t - theta
+    values = math.sqrt(a2) * np.exp(1j * (q * node_grid(cfg).x - omega))
     return ComplexState(values, t=t)
 
 
@@ -169,21 +178,23 @@ def plane_wave_exact(
 # Modulation instability
 # ---------------------------------------------------------------------------
 
-def mi_roots(q: float, Q: float, cfg: LatticeConfig) -> tuple[complex, complex]:
+def mi_roots(q: float, Q, cfg: LatticeConfig) -> tuple:
     """Both roots Lambda_+- of the sideband quadratic at carrier q, sideband Q.
 
         Lambda_+- = i delta A_*^2 +- sqrt(Gamma(Gamma - 2 A_*^2) - delta^2 A_*^4)
 
     with delta and A_* = sqrt(-gamma/delta) the lattice's own.  The square
     root of a negative real is taken as i*sqrt(|.|) (principal branch); both
-    roots are returned so no branch choice can hide growth.
+    roots are returned so no branch choice can hide growth.  ``Q`` is a
+    number or an array of sidebands; the roots have its shape.
     The sideband frequency is recovered as Omega_p = Lambda + 2k sin(hQ) sin(hq).
     """
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
     a2 = a_star * a_star
-    gam = 4.0 * cfg.k * math.sin(0.5 * cfg.h * Q) ** 2 * math.cos(cfg.h * q)
+    gam = 4.0 * cfg.k * np.sin(0.5 * cfg.h * Q) ** 2 * math.cos(cfg.h * q)
     radicand = gam * (gam - 2.0 * a2) - (cfg.delta * a2) ** 2
-    root = 1j * math.sqrt(-radicand) if radicand < 0 else complex(math.sqrt(radicand))
+    size = np.sqrt(np.abs(radicand))
+    root = np.where(radicand < 0, 1j * size, size)
     shift = 1j * cfg.delta * a2
     return shift + root, shift - root
 
@@ -208,20 +219,18 @@ class MIScan:
 def mi_scan(K: int, cfg: LatticeConfig, A_star: float, delta: float) -> MIScan:
     """Growth rates max Im(Lambda_+-) at Q = M*pi/L for integer M in [0, N/2].
 
-    The carrier verdict is unstable iff cos(hq) > 0 and the band of growing
-    sidebands is nonempty.
+    ``A_star`` and ``delta`` must be the lattice's own critical amplitude and
+    loss.  The carrier verdict is unstable iff cos(hq) > 0 and the band of
+    growing sidebands is nonempty.
     """
+    if A_star != critical_amplitude(cfg.gamma, cfg.delta) or delta != cfg.delta:
+        raise DomainError(f"A_star = {A_star} and delta = {delta} are not the lattice's own")
     K = _validate_mode(K, cfg.N)
     q = K * math.pi / cfg.L
     Ms = np.arange(0, cfg.N // 2 + 1)
     Qs = Ms * math.pi / cfg.L
-    # mi_roots over all sidebands at once, in its order of operations: the
-    # larger imaginary part is delta A_*^2 + sqrt(max(-radicand, 0)).  fmax,
-    # not maximum, because mi_roots takes a nan radicand as nonnegative.
-    a2 = A_star * A_star
-    gam = 4.0 * cfg.k * np.sin(0.5 * cfg.h * Qs) ** 2 * math.cos(cfg.h * q)
-    radicand = gam * (gam - 2.0 * a2) - (delta * a2) ** 2
-    growth = delta * a2 + np.sqrt(np.fmax(-radicand, 0.0))
+    lam_p, lam_m = mi_roots(q, Qs, cfg)
+    growth = np.maximum(lam_p.imag, lam_m.imag)
     band = frozenset(int(m) for m, g in zip(Ms, growth) if g > BAND_GROWTH_EPS)
     carrier_unstable = math.cos(cfg.h * q) > 0.0 and bool(band)
     return MIScan(K=K, q=q, Qs=Qs, growth=growth,
@@ -242,39 +251,33 @@ def mi_growth_oracle(
     cfg: LatticeConfig,
     gamma: float,
     delta: float,
-    eps: float = 1e-6,
 ) -> GrowthFit:
     """Measure a sideband growth rate by integrating the full lattice.
 
-    Starts from u_n(0) = (A_* + eps*cos(Q x_n)) exp(i q x_n), demodulates by
-    the carrier, and fits the exponential growth of the mode-M amplitude
-    |A_M|/(hN), sampled every 0.25, over the linear window [10*eps, 1e-3].
-    The horizon is the time the predicted growth takes to cross the window,
-    with headroom, or 10 for a stable sideband.  Stable sidebands never
-    enter the window and report rate 0 with grew=False.  The run uses the
-    8th-order DOP853 pair: at rtol 1e-9 its steps are limited by accuracy,
-    so the higher order takes fewer right-hand-side evaluations.
+    Starts from u_n(0) = (A_* + eps*cos(Q x_n)) exp(i q x_n), eps = GROWTH_EPS,
+    demodulates by the carrier, and fits the exponential growth of the mode-M
+    amplitude |A_M|/(hN), sampled every 0.25, over the linear window
+    [10*eps, 1e-3].  The horizon is the time the predicted growth takes to
+    cross the window, with headroom, or 10 for a stable sideband.  Stable
+    sidebands never enter the window and report rate 0 with grew=False.  The
+    run uses the 8th-order DOP853 pair: at rtol 1e-9 its steps are limited by
+    accuracy, so the higher order takes fewer right-hand-side evaluations.
     """
-    if eps < 0 or eps > 1e-6:
-        raise DomainError(f"perturbation amplitude must lie in [0, 1e-6], got {eps}")
     K = _validate_mode(K, cfg.N)
     M = _validate_mode(M, cfg.N)
-    if eps == 0.0:
-        return GrowthFit(rate=0.0, grew=False)
-
     run_cfg = replace(cfg, gamma=gamma, delta=delta)
     a_star = critical_amplitude(gamma, delta)
     grid = node_grid(run_cfg)
     q = K * math.pi / run_cfg.L
     Q = M * math.pi / run_cfg.L
     carrier = np.exp(1j * q * grid.x)
-    ic = ComplexState((a_star + eps * np.cos(Q * grid.x)) * carrier, t=0.0)
+    ic = ComplexState((a_star + GROWTH_EPS * np.cos(Q * grid.x)) * carrier, t=0.0)
 
     lam_p, lam_m = mi_roots(q, Q, run_cfg)
-    predicted = max(lam_p.imag, lam_m.imag)
+    predicted = float(max(lam_p.imag, lam_m.imag))
     if predicted > 0:
         # time to traverse [eps/2, 1e-3] plus headroom
-        t_end = 1.3 * math.log(GROWTH_WINDOW_HIGH / (0.5 * eps)) / predicted + 2.0
+        t_end = 1.3 * math.log(GROWTH_WINDOW_HIGH / (0.5 * GROWTH_EPS)) / predicted + 2.0
     else:
         t_end = 10.0
 
@@ -283,7 +286,7 @@ def mi_growth_oracle(
     traj = integrate(System.DNLS, ic, run_cfg, spec)
 
     coeff = np.abs(np.fft.fft(traj.values * np.conj(carrier), axis=1)[:, M]) / run_cfg.N
-    low = GROWTH_WINDOW_LOW_FACTOR * eps
+    low = GROWTH_WINDOW_LOW_FACTOR * GROWTH_EPS
     if coeff.max() < low:
         return GrowthFit(rate=0.0, grew=False)
     above_high = np.nonzero(coeff > GROWTH_WINDOW_HIGH)[0]
@@ -345,7 +348,7 @@ def attractor_verdict(
     traj: Trajectory,
     cfg: LatticeConfig,
     A_star: float,
-    tol_amp: float = 1e-3,
+    tol_amp: float = ATTRACTOR_TOL,
     t_window: float = 5.0,
 ) -> AttractorVerdict:
     """Judge convergence to the constant-amplitude plane-wave orbit.

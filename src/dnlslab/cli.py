@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .analysis import attractor_verdict, mi_scan
+from .analysis import ATTRACTOR_TOL, attractor_verdict, mi_scan
 from .core import (
     GATE_TOL,
     GeneralizedBCSpec,
@@ -102,13 +102,17 @@ def _gate_record(spec: ScenarioSpec) -> dict:
     }
 
 
+def _lattice_record(cfg: LatticeConfig) -> dict:
+    """The lattice's entries of a manifest's parameters."""
+    return {"L": cfg.L, "N": cfg.N, "h": cfg.h, "k": cfg.k,
+            "gamma": cfg.gamma, "delta": cfg.delta, "bc": cfg.bc.value}
+
+
 def _base_manifest(spec: ScenarioSpec) -> RunManifest:
-    cfg = spec.cfg
     return RunManifest(
         scenario=spec.name,
         parameters={
-            "L": cfg.L, "N": cfg.N, "h": cfg.h, "k": cfg.k,
-            "gamma": cfg.gamma, "delta": cfg.delta, "bc": cfg.bc.value,
+            **_lattice_record(spec.cfg),
             "systems": [s.value for s in spec.systems],
             "variants": [v.label for v in spec.variants],
         },
@@ -204,9 +208,7 @@ def run_scenario(
             emit(write_wedge_csv, "wedge", None, variant.label,
                  some_traj.times, variant.background)
         if "proximity" in spec.outputs:
-            report = build_proximity_report(
-                trajs[System.DNLS], trajs[System.AL], cfg, spec.window
-            )
+            report = build_proximity_report(trajs[System.DNLS], trajs[System.AL], cfg)
             emit(write_proximity_csv, "proximity", None, variant.label, report)
             manifest.extra[f"proximity__{variant.label}"] = {
                 "alpha": report.alpha,
@@ -249,7 +251,7 @@ def _cmd_gate(args) -> int:
     a_star = critical_amplitude(args.gamma, args.delta)
     print(f"A* = {a_star:.17g}")
     if args.a is not None:
-        verdict = solvability_gate(args.a, args.gamma, args.delta, args.tol)
+        verdict = solvability_gate(args.a, args.gamma, args.delta)
         print(f"solvable(A={args.a:g}): {'yes' if verdict else 'no'}")
     if args.zeta is not None or args.g_freq is not None:
         if args.zeta is None or args.g_freq is None:
@@ -258,7 +260,7 @@ def _cmd_gate(args) -> int:
             zeta_minus=complex(args.zeta), zeta_plus=complex(args.zeta),
             zeta=args.zeta, G=args.g_freq,
         )
-        verdict = generalized_gate(spec, args.gamma, args.delta, args.tol)
+        verdict = generalized_gate(spec, args.gamma, args.delta)
         print(f"generalized(zeta={args.zeta:g}, G={args.g_freq:g}): "
               f"{'yes' if verdict else 'no'}")
     return 0
@@ -282,9 +284,7 @@ def _cmd_mi_scan(args) -> int:
     write_mi_scan_csv(out_dir / "mi_scan.csv", scans)
     manifest = RunManifest(
         scenario="mi_scan",
-        parameters={"L": cfg.L, "N": cfg.N, "h": cfg.h, "k": cfg.k,
-                    "gamma": cfg.gamma, "delta": cfg.delta,
-                    "carriers": carriers},
+        parameters={**_lattice_record(cfg), "carriers": carriers},
         gate={"a_star": a_star},
         integrator={},
         software_version=__version__,
@@ -321,15 +321,16 @@ def _cmd_attractor_check(args) -> int:
     cfg = spec.cfg
     traj = integrate(System.DNLS, _initial_state(spec, spec.variants[0]), cfg, spec.integrator)
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
-    window = args.window if args.window is not None else min(5.0, spec.integrator.t_end / 2)
-    verdict = attractor_verdict(traj, cfg, a_star, tol_amp=args.tol_amp, t_window=window)
+    # the final min(5, t_end/2) of the run, judged within ATTRACTOR_TOL
+    window = min(5.0, spec.integrator.t_end / 2)
+    verdict = attractor_verdict(traj, cfg, a_star, t_window=window)
     out_dir = _run_dir(_out_root(args), spec.name)
     manifest = _base_manifest(spec)
     manifest.extra["attractor_verdict"] = {
         "converged": verdict.converged,
         "final_mode": verdict.final_mode,
         "in_stable_band": verdict.in_stable_band,
-        "tol_amp": args.tol_amp,
+        "tol_amp": ATTRACTOR_TOL,
         "t_window": window,
     }
     write_manifest(out_dir / "manifest.json", manifest)
@@ -361,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None, help="background amplitude to test")
     p.add_argument("--zeta", type=float, default=None, help="two-sided boundary modulus")
     p.add_argument("--g-freq", type=float, default=None, help="boundary frequency parameter G")
-    p.add_argument("--tol", type=float, default=GATE_TOL)
     p.set_defaults(fn=_cmd_gate)
 
     def add_run_args(p, with_products=True, with_auto_t0=False):
@@ -397,9 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("attractor-check", help="long-run convergence verdict")
     add_run_args(p, with_products=False)
-    p.add_argument("--tol-amp", type=float, default=1e-3)
-    p.add_argument("--window", type=float, default=None,
-                   help="final time window inspected (default: min(5, t_end/2))")
     p.set_defaults(fn=_cmd_attractor_check)
 
     return parser

@@ -173,15 +173,13 @@ def critical_amplitude(gamma: float, delta: float) -> float:
     return math.sqrt(-gamma / delta)
 
 
-def solvability_gate(A: float, gamma: float, delta: float, tol: float = GATE_TOL) -> bool:
-    """True iff the background A sits at the critical amplitude within tol.
+def solvability_gate(A: float, gamma: float, delta: float) -> bool:
+    """True iff the background A sits at the critical amplitude within GATE_TOL.
 
     The scenario runner uses this verdict to label runs "infinite-lattice
     relevant" (gate passes) versus "finite-lattice only".
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
-    return abs(A - critical_amplitude(gamma, delta)) <= tol
+    return abs(A - critical_amplitude(gamma, delta)) <= GATE_TOL
 
 
 @dataclass(frozen=True)
@@ -203,15 +201,11 @@ class GeneralizedBCSpec:
                 raise DomainError(f"|{side}| must equal zeta within 1e-12")
 
 
-def generalized_gate(
-    spec: GeneralizedBCSpec, gamma: float, delta: float, tol: float = GATE_TOL
-) -> bool:
+def generalized_gate(spec: GeneralizedBCSpec, gamma: float, delta: float) -> bool:
     """Solvability gate for step-like boundary values: G^2 == zeta^2 and
-    zeta == critical amplitude, both within tol."""
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
+    zeta == critical amplitude, both within GATE_TOL."""
     a_star = critical_amplitude(gamma, delta)
-    return abs(spec.G**2 - spec.zeta**2) <= tol and abs(spec.zeta - a_star) <= tol
+    return abs(spec.G**2 - spec.zeta**2) <= GATE_TOL and abs(spec.zeta - a_star) <= GATE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ __all__ = [
 # exp() overflow guard on a bound's whole exponent (1.5 times that of e^{N0/h}
 # in the 3/2-power tails); beyond this the bounds are reported as inf.
 _EXP_CLAMP = 700.0
-# The window of the windowed distance D_a_r when a scenario names none.
+# The window of the windowed distance D_a_r.
 _DEFAULT_WINDOW = (-10.0, 10.0)
 
 
@@ -105,29 +105,25 @@ def al_norm_bound(N0: float, cfg: LatticeConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def distance_curves(
-    traj_u: Trajectory,
-    traj_phi: Trajectory,
-    cfg: LatticeConfig,
-    window: tuple[float, float] = _DEFAULT_WINDOW,
+    traj_u: Trajectory, traj_phi: Trajectory, cfg: LatticeConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Averaged distances between paired runs on identical sampling grids.
 
     Returns (times, D_a, D_a_r, N_r):
       D_a(t)   = ||u - phi|| / sqrt(N h)               (all nodes)
       D_a_r(t) = (h sum_{x in window} |u-phi|^2)^(1/2) / sqrt(h N_r)
+    with the N_r nodes of the window ``_DEFAULT_WINDOW``.
     """
     if not np.array_equal(traj_u.times, traj_phi.times):
         raise GridMismatch("paired trajectories must share the sampling grid")
     if traj_u.values.shape[1] != cfg.N or traj_phi.values.shape[1] != cfg.N:
         raise GridMismatch("paired trajectories must live on the configured lattice")
-    lo, hi = window
-    if not lo < hi:
-        raise DomainError(f"window must be a nonempty interval, got {window}")
+    lo, hi = _DEFAULT_WINDOW
     x = node_grid(cfg).x
     mask = (x >= lo) & (x <= hi)
     n_r = int(mask.sum())
     if n_r == 0:
-        raise DomainError(f"no lattice nodes fall in the window {window}")
+        raise DomainError(f"no lattice nodes fall in the window {_DEFAULT_WINDOW}")
 
     u, phi = traj_u.values, traj_phi.values
     dens = (u.real - phi.real) ** 2 + (u.imag - phi.imag) ** 2  # no complex difference kept
@@ -278,18 +274,14 @@ class ProximityReport:
     alpha: float
     N0: float
     smallness: SmallnessCheck
-    window: tuple[float, float]
     initial_distance: float
 
 
 def build_proximity_report(
-    traj_u: Trajectory,
-    traj_phi: Trajectory,
-    cfg: LatticeConfig,
-    window: tuple[float, float] = _DEFAULT_WINDOW,
+    traj_u: Trajectory, traj_phi: Trajectory, cfg: LatticeConfig
 ) -> ProximityReport:
     """Assemble distances and both envelopes for a paired (gain/loss, AL) run."""
-    times, d_a, d_a_r, _ = distance_curves(traj_u, traj_phi, cfg, window)
+    times, d_a, d_a_r, _ = distance_curves(traj_u, traj_phi, cfg)
     n0 = al_invariant(traj_phi.states[0], cfg)
     u0 = traj_u.values[0]
     initial_distance = lattice_norm(u0 - traj_phi.values[0], cfg)
@@ -312,6 +304,5 @@ def build_proximity_report(
         alpha=alpha,
         N0=n0,
         smallness=smallness_condition(cfg),
-        window=window,
         initial_distance=initial_distance,
     )

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    _CLOSURES,
     AlgebraicBumpIC,
-    BoundaryKind,
     ComplexState,
     InitialCondition,
     LatticeConfig,
@@ -28,7 +28,7 @@ from .core import (
     make_initial_condition,
 )
 from .errors import ParseError, ValidationError, ValidationFailure
-from .proximity import _DEFAULT_WINDOW, DpsParams, unit_spacing
+from .proximity import DpsParams, unit_spacing
 from .timestep import IntegratorSpec, Method
 
 __all__ = [
@@ -86,7 +86,6 @@ class ScenarioSpec:
     outputs: tuple[str, ...]
     noise_amp: float = 0.0
     noise_seed: int = 0
-    window: tuple[float, float] = _DEFAULT_WINDOW
 
     def __post_init__(self) -> None:
         if not self.systems:
@@ -101,9 +100,6 @@ class ScenarioSpec:
                 raise ValidationError(f"unknown output product {out!r}")
         if "proximity" in self.outputs and set(self.systems) != {System.DNLS, System.AL}:
             raise ValidationError("the proximity product needs paired dnls and al runs")
-        if "proximity" in self.outputs and not self.window[0] < self.window[1]:
-            raise ValidationError(f"the proximity window must be a nonempty interval, "
-                                  f"got {self.window}")
         for out in ("mi_scan", "proximity"):
             if out in self.outputs and not (self.cfg.gamma > 0 and self.cfg.delta < 0):
                 raise ValidationError(f"the {out} product needs gamma > 0 and delta < 0")
@@ -274,13 +270,12 @@ def catalog() -> dict[str, ScenarioSpec]:
 
 _IC_KINDS = {"planewave": PlaneWaveIC, "algebraic": AlgebraicBumpIC, "sech": SechBumpIC}
 _INTEGER_KEYS = frozenset({"N", "mode", "noise_seed"})
-_ENUM_KEYS = {"bc": BoundaryKind, "method": Method}
 # the keys of every file; the fields of its ``ic`` kind are its other keys
 _KEYS = frozenset({
-    "name", "systems", "ic", "variant", "outputs", "bc", "method",
+    "name", "systems", "ic", "variant", "outputs", "method",
     "L", "N", "gamma", "delta",
     "t_end", "dt", "rtol", "atol", "sample_every",
-    "window_lo", "window_hi", "dps_t0", "noise_amp", "noise_seed",
+    "dps_t0", "noise_amp", "noise_seed",
 })
 _REQUIRED = object()
 
@@ -351,16 +346,17 @@ def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> Scena
     def given(*keys: str) -> dict:
         """The settings among ``keys`` that the file gives; the receiving
         dataclass's own defaults stand for the others."""
-        return {key: _member(_ENUM_KEYS[key], key, mapping[key]) if key in _ENUM_KEYS
+        return {key: _member(Method, key, mapping[key]) if key == "method"
                 else _number(mapping, key) for key in keys if key in mapping}
 
     try:
+        # the lattice has the closure its first system runs under
         cfg = LatticeConfig(
             L=_number(mapping, "L"),
             N=_number(mapping, "N"),
             gamma=_number(mapping, "gamma"),
             delta=_number(mapping, "delta"),
-            **given("bc"),
+            bc=_CLOSURES[systems[0]],
         )
         variant = ScenarioVariant(mapping.get("variant", "main"),
                                   ic_kind(**{key: _number(mapping, key) for key in ic_keys}),
@@ -377,8 +373,6 @@ def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> Scena
             variants=(variant,),
             integrator=integrator,
             outputs=outputs,
-            window=(_number(mapping, "window_lo", _DEFAULT_WINDOW[0]),
-                    _number(mapping, "window_hi", _DEFAULT_WINDOW[1])),
             **given("noise_amp", "noise_seed"),
         )
     except ParseError:

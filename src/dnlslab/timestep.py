@@ -69,7 +69,7 @@ from .core import (
     dnls_rhs_values,
     shifted_rhs_values,
 )
-from .errors import BlowUpDetected, ConfigError, NeedThreeSamples, StepFailure
+from .errors import BlowUpDetected, ConfigError, GridMismatch, NeedThreeSamples, StepFailure
 
 __all__ = [
     "Method",
@@ -144,7 +144,9 @@ class States(Sequence):
 @dataclass(eq=False)
 class Trajectory:
     """Sampled states plus per-sample diagnostics of one integration run.
-    A list of ``ComplexState`` is stacked once into ``States`` on ``times``."""
+    ``states`` is ``States`` on ``times``, one row per sample time; a list of
+    ``ComplexState`` is stacked once, and the states' own stamps give way
+    to ``times``."""
 
     times: np.ndarray
     states: States
@@ -152,9 +154,14 @@ class Trajectory:
     system: System = System.DNLS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.states, States):
+        if isinstance(self.states, States):
+            values = self.states.values
+        else:
             rows = [s.values for s in self.states] or np.empty((0, 0))
-            self.states = States(np.array(rows, dtype=np.complex128), self.times)
+            values = np.array(rows, dtype=np.complex128)
+        if len(values) != len(self.times):
+            raise GridMismatch(f"{len(values)} states for {len(self.times)} sample times")
+        self.states = States(values, self.times)
 
     @property
     def values(self) -> np.ndarray:

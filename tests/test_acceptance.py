@@ -126,7 +126,7 @@ def test_criterion_02_exact_solution_residuals(small_lattice):
 def test_criterion_03_power_bound_reproduction(small_lattice):
     cfg = small_lattice
     fam = plane_wave_family(45, 3.0, 0.0, cfg)
-    ic = plane_wave_exact(fam, node_grid(cfg), 0.0, cfg)
+    ic = plane_wave_exact(fam, 0.0)
     traj = integrate(System.DNLS, ic, cfg, IntegratorSpec(t_end=10.0, sample_every=0.1))
     from dnlslab.analysis import amplitude_ode_solution
 
@@ -272,10 +272,9 @@ def test_criterion_09_distance_estimates(wide_lattice):
 
 def test_criterion_10_property_suites(small_lattice):
     cfg = small_lattice
-    grid = node_grid(cfg)
     fam = plane_wave_family(45, 1.0, 0.0, cfg)
-    ic = plane_wave_exact(fam, grid, 0.0, cfg)
-    ref = plane_wave_exact(fam, grid, 2.0, cfg)
+    ic = plane_wave_exact(fam, 0.0)
+    ref = plane_wave_exact(fam, 2.0)
 
     # fourth-order convergence of the fixed-step integrator
     def end_error(dt):

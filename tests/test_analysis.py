@@ -179,7 +179,7 @@ class TestPhaseIncrement:
 class TestPlaneWaveExact:
     def test_matches_initial_condition_at_t0(self, cfg):
         fam = plane_wave_family(45, 3.0, 0.0, cfg)
-        w0 = plane_wave_exact(fam, node_grid(cfg), 0.0, cfg)
+        w0 = plane_wave_exact(fam, 0.0)
         ic = make_initial_condition(PlaneWaveIC(1.0, 2.0, 45), cfg)
         assert np.max(np.abs(w0.values - ic.values)) < 1e-12
 
@@ -187,7 +187,7 @@ class TestPlaneWaveExact:
         fam = plane_wave_family(45, 1.0, 0.0, cfg)
         x = node_grid(cfg).x
         for t in (0.0, 1.3, 4.7):
-            w = plane_wave_exact(fam, node_grid(cfg), t, cfg)
+            w = plane_wave_exact(fam, t)
             expected = np.exp(1j * (fam.q * x - fam.omega_tilde * t))
             assert np.max(np.abs(w.values - expected)) < 1e-9
 
@@ -196,13 +196,21 @@ class TestPlaneWaveExact:
         from dnlslab.core import dnls_rhs
 
         fam = plane_wave_family(45, 3.0, 0.0, cfg)
-        grid = node_grid(cfg)
         dt = 1e-5
-        wp = plane_wave_exact(fam, grid, t + dt, cfg)
-        wm = plane_wave_exact(fam, grid, t - dt, cfg)
+        wp = plane_wave_exact(fam, t + dt)
+        wm = plane_wave_exact(fam, t - dt)
         numeric = (wp.values - wm.values) / (2 * dt)
-        analytic = dnls_rhs(plane_wave_exact(fam, grid, t, cfg), cfg).values
+        analytic = dnls_rhs(plane_wave_exact(fam, t), cfg).values
         assert np.max(np.abs(numeric - analytic)) < 1e-6
+
+    def test_lives_on_the_family_lattice(self, cfg):
+        # q and the limit frequency are read off the family's own lattice,
+        # and so is the grid the solution is evaluated on
+        wide = replace(cfg, L=100.0, N=200)
+        fam = plane_wave_family(45, 1.0, 0.0, wide)
+        assert plane_wave_exact(fam, 1.0).values.size == wide.N
+        assert fam.q == 45 * math.pi / wide.L
+        assert fam.omega_tilde == dispersion_frequency(45, wide)
 
     def test_family_invariant(self, cfg):
         fam = plane_wave_family(45, 1.0, 0.0, cfg)
@@ -279,6 +287,18 @@ class TestMiScan:
                         for Q in scan.Qs]
             assert scan.growth.tobytes() == np.array(expected).tobytes(), K
 
+    def test_roots_of_an_array_are_the_roots_of_its_entries(self, cfg):
+        Qs = np.linspace(0.0, math.pi, 11)
+        lam_p, lam_m = mi_roots(0.3, Qs, cfg)
+        assert lam_p.shape == lam_m.shape == Qs.shape
+        for i, Q in enumerate(Qs):
+            assert (lam_p[i], lam_m[i]) == mi_roots(0.3, float(Q), cfg)
+
+    @pytest.mark.parametrize("A_star, delta", [(0.5, -1.5), (1.0, -1.0)])
+    def test_pair_of_another_lattice_rejected(self, cfg, A_star, delta):
+        with pytest.raises(DomainError):
+            mi_scan(8, cfg, A_star, delta)
+
     def test_instability_characterization(self, cfg):
         # growth > 0 iff Gamma(Gamma - 2 A_*^2) < 0, pointwise across the scan
         for K in (3, 8, 20, 30, 45):
@@ -290,10 +310,6 @@ class TestMiScan:
 
 
 class TestGrowthOracle:
-    def test_zero_perturbation(self, cfg):
-        fit = mi_growth_oracle(8, 18, cfg, 1.5, -1.5, eps=0.0)
-        assert fit.rate == 0.0 and not fit.grew
-
     def test_stable_mode_does_not_grow(self, cfg):
         fit = mi_growth_oracle(45, 10, cfg, 1.5, -1.5)
         assert fit.rate <= 0.0 and not fit.grew
@@ -304,10 +320,6 @@ class TestGrowthOracle:
         fit = mi_growth_oracle(8, m_star, cfg, 1.5, -1.5)
         assert fit.grew
         assert fit.rate == pytest.approx(scan.growth[m_star], rel=0.05)
-
-    def test_eps_precondition(self, cfg):
-        with pytest.raises(DomainError):
-            mi_growth_oracle(8, 18, cfg, 1.5, -1.5, eps=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +393,7 @@ def test_fold_mode():
 class TestAttractorVerdict:
     def test_exact_orbit_converges_immediately(self, cfg):
         fam = plane_wave_family(45, 1.0, 0.0, cfg)
-        ic = plane_wave_exact(fam, node_grid(cfg), 0.0, cfg)
+        ic = plane_wave_exact(fam, 0.0)
         traj = integrate(System.DNLS, ic, cfg, IntegratorSpec(t_end=2.0, sample_every=0.1))
         verdict = attractor_verdict(traj, cfg, 1.0, tol_amp=1e-3, t_window=2.0)
         assert verdict.converged

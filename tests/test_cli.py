@@ -54,19 +54,17 @@ NON_FINITE_SETTINGS = {
     "rtol = inf": "densities",
     "dt = inf": "densities",
     "dps_t0 = nan": "densities, center_density",
-    "window_lo = nan": "densities, proximity\nsystems = dnls, al",
     "noise_amp = nan": "densities",
 }
 
 
-# Systems on a closure they do not run under, and the shifted system, which
-# only integrate(..., background=A) runs: a scenario's initial condition is the
-# unshifted field.
+# A file's lattice has the closure of its first system, so a later system on
+# another closure breaks the closure rule; the shifted system breaks the
+# background rule, since only integrate(..., background=A) runs it: a
+# scenario's initial condition is the unshifted field.
 SYSTEM_RULE_BREAKS = {
-    "dnls_dirichlet": "systems = dnls\nbc = dirichlet_zero\n",
-    "al_dirichlet": "systems = al\nbc = dirichlet_zero\n",
     "dnls_then_shifted": "systems = dnls, shifted\n",
-    "shifted_dirichlet": "systems = shifted\nbc = dirichlet_zero\n",
+    "shifted_dirichlet": "systems = shifted\n",
 }
 
 
@@ -182,9 +180,6 @@ class TestSimulate:
          "outputs = densities, center_density\n", "even node count"),
         ("L = 100\nN = 100\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
          "dps_t0 = 3.3\noutputs = densities, center_density\n", "unit spacing"),
-        ("L = 50\nN = 100\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
-         "systems = dnls, al\noutputs = densities, proximity\nwindow_lo = 5\nwindow_hi = -5\n",
-         "nonempty interval"),
         ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
          "noise_amp = 1e-12\nnoise_seed = -1\n", "must be nonnegative"),
         # the spacing is derived from L and N, so a file cannot set it
@@ -204,9 +199,21 @@ class TestSimulate:
         ("L = 50\nN = 100\nic = sech\nbackground = 0\nsigma = 0.6\nrho = 1.0\n"
          "dps_t0 = 3.3\noutputs = densities, center_density\n",
          "q must be positive"),
-    ], ids=["center_density_odd_N", "rogue_reference_h_2", "proximity_window_reversed",
+        # the closure follows the systems, so a file cannot set it
+        ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+         "bc = periodic\n", "unknown keys: bc"),
+        ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+         "systems = dnls\nbc = dirichlet_zero\n", "unknown keys: bc"),
+        ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+         "systems = al\nbc = dirichlet_zero\n", "unknown keys: bc"),
+        # the proximity window is a constant
+        ("L = 50\nN = 100\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
+         "systems = dnls, al\noutputs = densities, proximity\nwindow_lo = -5\n",
+         "unknown keys: window_lo"),
+    ], ids=["center_density_odd_N", "rogue_reference_h_2",
             "noise_seed_negative", "spacing_set", "planewave_background_set",
-            "other_ic_kind_key", "rogue_background_set", "rogue_background_zero"])
+            "other_ic_kind_key", "rogue_background_set", "rogue_background_zero",
+            "bc_periodic", "dnls_dirichlet", "al_dirichlet", "window_lo_set"])
     def test_scenario_precondition_rejected_at_load(self, tmp_path, capsys, body, message):
         cfgfile = tmp_path / "precondition.cfg"
         cfgfile.write_text(f"gamma = 0.0025\ndelta = -0.01\nt_end = 1\n{body}")
@@ -333,12 +340,13 @@ def test_every_catalog_scenario_runs_in_smoke_mode(tmp_path, name):
     manifest = json.loads((tmp_path / name / "manifest.json").read_text())
     assert manifest["products"]
     # the embedded gate verdict must match a recomputation from the manifest
-    from dnlslab.core import solvability_gate
+    from dnlslab.core import GATE_TOL, solvability_gate
 
     gate = manifest["gate"]
     params = manifest["parameters"]
+    assert gate["tolerance"] == GATE_TOL
     assert gate["solvable"] == solvability_gate(
-        gate["background"], params["gamma"], params["delta"], gate["tolerance"]
+        gate["background"], params["gamma"], params["delta"]
     )
 
 
@@ -387,10 +395,16 @@ def test_attractor_check_manifest_lists_only_the_integrated_run(tmp_path):
     # abbreviations of --window and --plot-scripts
     ["attractor-check", "--scenario", "fig5", "--smoke", "--win", "3"],
     ["simulate", "--scenario", "fig5", "--smoke", "--plot"],
-], ids=["attractor_check_plot_scripts", "mi_scan_h", "attractor_check_win", "simulate_plot"])
+    ["gate", "--gamma", "1.5", "--delta", "-1.5", "--a", "1", "--tol", "1e-9"],
+    ["attractor-check", "--scenario", "fig5", "--smoke", "--tol-amp", "1e-3"],
+    ["attractor-check", "--scenario", "fig5", "--smoke", "--window", "3"],
+], ids=["attractor_check_plot_scripts", "mi_scan_h", "attractor_check_win", "simulate_plot",
+        "gate_tol", "attractor_check_tol_amp", "attractor_check_window"])
 def test_removed_flags_exit_2(tmp_path, argv):
+    if argv[0] != "gate":  # gate writes nothing and takes no --out
+        argv = argv + ["--out", str(tmp_path)]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path)])
+        main(argv)
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
 
@@ -404,6 +418,10 @@ def test_mi_scan_command(tmp_path, capsys):
                          delimiter=",", names=True)
     assert rows["growth"][0] == 0.0
     assert np.max(rows["growth"]) > 0.25
+    # the lattice record of every run's manifest, then the carriers scanned
+    manifest = json.loads((tmp_path / "mi_scan" / "manifest.json").read_text())
+    assert manifest["parameters"] == {"L": 50.0, "N": 100, "h": 1.0, "k": 1.0, "gamma": 1.5,
+                                      "delta": -1.5, "bc": "periodic", "carriers": [8]}
 
 
 def test_empty_trajectory_gives_header_only_csv(tmp_path):

@@ -51,12 +51,12 @@ def test_runtime_runs_with_scipy_blocked(tmp_path):
         "from dnlslab.analysis import (mi_growth_oracle, mi_scan, plane_wave_exact,\n"
         "                              plane_wave_family)\n"
         "from dnlslab.cli import main\n"
-        "from dnlslab.core import LatticeConfig, SechBumpIC, make_initial_condition, node_grid\n"
+        "from dnlslab.core import LatticeConfig, SechBumpIC, make_initial_condition\n"
         "from dnlslab.proximity import build_proximity_report, estimate_I_curve\n"
         "from dnlslab.timestep import IntegratorSpec, System, integrate\n"
         "small = LatticeConfig(L=50.0, N=100, gamma=1.5, delta=-1.5)\n"
         "fam = plane_wave_family(5, 0.5, 0.0, small)\n"
-        "w = plane_wave_exact(fam, node_grid(small), 5.0, small)\n"
+        "w = plane_wave_exact(fam, 5.0)\n"
         "assert np.all(np.isfinite(w.values))\n"
         "scan = mi_scan(24, small, 1.0, -1.5)\n"
         "m = int(np.argmax(scan.growth))\n"

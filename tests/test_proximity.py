@@ -232,8 +232,8 @@ class TestDistanceCurves:
 
     def test_window_node_count(self, cfg_wide):
         t_u, t_phi = _paired_runs(cfg_wide, AlgebraicBumpIC(0.5, 1.0, 1.0, 4.0))
-        _, _, _, n_r = distance_curves(t_u, t_phi, cfg_wide, window=(-10.0, 10.0))
-        assert n_r == 21  # unit spacing, inclusive interval
+        _, _, _, n_r = distance_curves(t_u, t_phi, cfg_wide)
+        assert n_r == 21  # the window [-10, 10] at unit spacing, inclusive
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,6 @@ def test_parse_good_file(tmp_path):
     assert set(spec.systems) == {System.DNLS, System.AL}
     assert spec.cfg.N == 100
     assert spec.variants[0].dps_reference.q == 0.5  # defaults to the background
-    assert spec.window == (-10.0, 10.0)
 
 
 def test_readme_example_loads(tmp_path):

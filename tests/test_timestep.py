@@ -24,12 +24,13 @@ from dnlslab.errors import (
     BlowUpDetected,
     ConfigError,
     DomainError,
+    GridMismatch,
     LengthMismatch,
     NeedThreeSamples,
     StepFailure,
     ValidationFailure,
 )
-from dnlslab.proximity import DpsParams, distance_curves, dps_eval
+from dnlslab.proximity import _DEFAULT_WINDOW, DpsParams, distance_curves, dps_eval
 from dnlslab.scenarios import ScenarioSpec, ScenarioVariant, load_scenario, smoke_variant
 from dnlslab.timestep import (
     IntegratorSpec,
@@ -55,7 +56,7 @@ def cfg():
 
 def _attractor_orbit(cfg, K=45, A0=1.0):
     fam = plane_wave_family(K, A0, 0.0, cfg)
-    return plane_wave_exact(fam, node_grid(cfg), 0.0, cfg), fam
+    return plane_wave_exact(fam, 0.0), fam
 
 
 class TestIntegratorSpec:
@@ -263,7 +264,7 @@ class TestRhsHooks:
 class TestOrderAndTolerance:
     def test_rk4_fourth_order_on_exact_orbit(self, cfg):
         ic, fam = _attractor_orbit(cfg)
-        ref = plane_wave_exact(fam, node_grid(cfg), 2.0, cfg)
+        ref = plane_wave_exact(fam, 2.0)
 
         def end_error(dt):
             spec = IntegratorSpec(t_end=2.0, method=Method.RK4_FIXED, dt=dt,
@@ -323,7 +324,7 @@ class TestOrderAndTolerance:
                                             atol=rtol / 100, sample_every=0.5))
             work[method] = len(calls)
             error[method] = max(
-                np.max(np.abs(s.values - plane_wave_exact(fam, node_grid(cfg), t, cfg).values))
+                np.max(np.abs(s.values - plane_wave_exact(fam, t).values))
                 for t, s in zip(traj.times, traj.states))
         assert work[Method.DOP853] < work[Method.DP54_ADAPTIVE]
         assert error[Method.DOP853] < error[Method.DP54_ADAPTIVE]
@@ -404,7 +405,7 @@ class TestDenseOutput:
             # add up: the allowance is one per trial, of 12 evaluations each.
             steps = 1 if method is Method.DP54_ADAPTIVE else len(calls) // 12
             for t, state in zip(traj.times, traj.states):
-                exact = plane_wave_exact(fam, node_grid(cfg), t, cfg).values
+                exact = plane_wave_exact(fam, t).values
                 allowance = 10.0 * steps * (atol + rtol * np.max(np.abs(exact)))
                 assert np.max(np.abs(state.values - exact)) < allowance
 
@@ -537,6 +538,19 @@ class TestTrajectoryArray:
         assert attractor_verdict(traj, cfg, 1.0).converged
         assert not attractor_verdict(rippled, cfg, 1.0).converged
 
+    def test_states_are_stamped_with_the_trajectory_times(self, on_attractor):
+        traj = on_attractor
+        shifted = replace(traj, times=traj.times + 10.0)
+        assert [s.t for s in shifted.states] == (traj.times + 10.0).tolist()
+        assert shifted.states.times is shifted.times
+
+    def test_row_count_must_match_the_times(self, on_attractor):
+        traj = on_attractor
+        with pytest.raises(GridMismatch):
+            replace(traj, states=[traj.states[0]])
+        with pytest.raises(GridMismatch):
+            replace(traj, times=traj.times[:-1])
+
     def test_empty_list(self):
         traj = Trajectory(times=np.empty(0), states=[])
         assert len(traj.states) == 0
@@ -551,10 +565,10 @@ class TestTrajectoryArray:
         ic = make_initial_condition(spec.variants[0].ic, cfg)
         traj_u = integrate(System.DNLS, ic, cfg, spec.integrator)
         traj_phi = integrate(System.AL, ic, cfg, spec.integrator)
-        times, d_a, d_a_r, n_r = distance_curves(traj_u, traj_phi, cfg, spec.window)
+        times, d_a, d_a_r, n_r = distance_curves(traj_u, traj_phi, cfg)
 
         x = node_grid(cfg).x
-        mask = (x >= spec.window[0]) & (x <= spec.window[1])
+        mask = (x >= _DEFAULT_WINDOW[0]) & (x <= _DEFAULT_WINDOW[1])
         expected_a, expected_r = [], []
         for su, sp in zip(traj_u.states, traj_phi.states):
             diff = su.values - sp.values
