@@ -17,7 +17,7 @@ admissible Q gives Gamma(Gamma - 2 A_*^2) < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,17 +263,18 @@ def mi_growth_oracle(
     run uses the 8th-order DOP853 pair: at rtol 1e-9 its steps are limited by
     accuracy, so the higher order takes fewer right-hand-side evaluations.
     """
+    if (gamma, delta) != (cfg.gamma, cfg.delta):
+        raise DomainError(f"gamma = {gamma} and delta = {delta} are not the lattice's own")
     K = _validate_mode(K, cfg.N)
     M = _validate_mode(M, cfg.N)
-    run_cfg = replace(cfg, gamma=gamma, delta=delta)
     a_star = critical_amplitude(gamma, delta)
-    grid = node_grid(run_cfg)
-    q = K * math.pi / run_cfg.L
-    Q = M * math.pi / run_cfg.L
+    grid = node_grid(cfg)
+    q = K * math.pi / cfg.L
+    Q = M * math.pi / cfg.L
     carrier = np.exp(1j * q * grid.x)
     ic = ComplexState((a_star + GROWTH_EPS * np.cos(Q * grid.x)) * carrier, t=0.0)
 
-    lam_p, lam_m = mi_roots(q, Q, run_cfg)
+    lam_p, lam_m = mi_roots(q, Q, cfg)
     predicted = float(max(lam_p.imag, lam_m.imag))
     if predicted > 0:
         # time to traverse [eps/2, 1e-3] plus headroom
@@ -283,9 +284,9 @@ def mi_growth_oracle(
 
     spec = IntegratorSpec(t_end=t_end, method=Method.DOP853,
                           dt=1e-3, rtol=1e-9, atol=1e-12, sample_every=0.25)
-    traj = integrate(System.DNLS, ic, run_cfg, spec)
+    traj = integrate(System.DNLS, ic, cfg, spec)
 
-    coeff = np.abs(np.fft.fft(traj.values * np.conj(carrier), axis=1)[:, M]) / run_cfg.N
+    coeff = np.abs(np.fft.fft(traj.values * np.conj(carrier), axis=1)[:, M]) / cfg.N
     low = GROWTH_WINDOW_LOW_FACTOR * GROWTH_EPS
     if coeff.max() < low:
         return GrowthFit(rate=0.0, grew=False)

@@ -315,16 +315,16 @@ def _cmd_attractor_check(args) -> int:
     spec = _resolve_scenario(args)
     if System.DNLS not in spec.systems:
         raise ValidationFailure("attractor-check needs a gain/loss lattice run")
-    # only the first variant of the gain/loss lattice is integrated, so the
-    # manifest describes only that run
-    spec = replace(spec, systems=(System.DNLS,), variants=spec.variants[:1])
+    # only the first variant of the gain/loss lattice is integrated and no
+    # product is written, so the manifest describes only that run
+    spec = replace(spec, systems=(System.DNLS,), variants=spec.variants[:1], outputs=())
     cfg = spec.cfg
-    traj = integrate(System.DNLS, _initial_state(spec, spec.variants[0]), cfg, spec.integrator)
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
+    out_dir = _run_dir(_out_root(args), spec.name)
+    traj = integrate(System.DNLS, _initial_state(spec, spec.variants[0]), cfg, spec.integrator)
     # the final min(5, t_end/2) of the run, judged within ATTRACTOR_TOL
     window = min(5.0, spec.integrator.t_end / 2)
     verdict = attractor_verdict(traj, cfg, a_star, t_window=window)
-    out_dir = _run_dir(_out_root(args), spec.name)
     manifest = _base_manifest(spec)
     manifest.extra["attractor_verdict"] = {
         "converged": verdict.converged,

@@ -27,7 +27,7 @@ __all__ = [
     "ProximityReport",
     "SmallnessCheck",
     "dps_eval",
-    "unit_spacing",
+    "window_nodes",
     "al_invariant",
     "al_norm_bound",
     "distance_curves",
@@ -60,11 +60,6 @@ class DpsParams:
         return self.q**2 * (3.0 + 4.0 * self.q**2) ** 2
 
 
-def unit_spacing(h: float) -> bool:
-    """Whether a lattice spacing is 1 to within 1e-12, as the rogue profile needs."""
-    return abs(h - 1.0) <= 1e-12
-
-
 def dps_eval(grid: NodeGrid, t: float, params: DpsParams) -> ComplexState:
     """Rational rogue-wave solution of the integrable lattice at unit coupling.
 
@@ -75,7 +70,7 @@ def dps_eval(grid: NodeGrid, t: float, params: DpsParams) -> ComplexState:
     lattice spacing (the closed form holds for k = 1).
     """
     x = grid.x
-    if x.size >= 2 and not unit_spacing(x[1] - x[0]):
+    if x.size >= 2 and abs(x[1] - x[0] - 1.0) > 1e-12:
         raise ConfigError("the rational rogue profile requires unit spacing (h = 1, k = 1)")
     q = params.q
     tau = t - params.t0
@@ -104,6 +99,15 @@ def al_norm_bound(N0: float, cfg: LatticeConfig) -> float:
 # Distance curves and analytic envelopes
 # ---------------------------------------------------------------------------
 
+def window_nodes(cfg: LatticeConfig) -> slice:
+    """The nodes of the window ``_DEFAULT_WINDOW``, a run of adjacent nodes."""
+    x = node_grid(cfg).x
+    inside = np.flatnonzero((x >= _DEFAULT_WINDOW[0]) & (x <= _DEFAULT_WINDOW[1]))
+    if inside.size == 0:
+        raise DomainError(f"no lattice nodes fall in the window {_DEFAULT_WINDOW}")
+    return slice(int(inside[0]), int(inside[-1]) + 1)
+
+
 def distance_curves(
     traj_u: Trajectory, traj_phi: Trajectory, cfg: LatticeConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -118,20 +122,15 @@ def distance_curves(
         raise GridMismatch("paired trajectories must share the sampling grid")
     if traj_u.values.shape[1] != cfg.N or traj_phi.values.shape[1] != cfg.N:
         raise GridMismatch("paired trajectories must live on the configured lattice")
-    lo, hi = _DEFAULT_WINDOW
-    x = node_grid(cfg).x
-    mask = (x >= lo) & (x <= hi)
-    n_r = int(mask.sum())
-    if n_r == 0:
-        raise DomainError(f"no lattice nodes fall in the window {_DEFAULT_WINDOW}")
+    window = window_nodes(cfg)
+    n_r = window.stop - window.start
 
     u, phi = traj_u.values, traj_phi.values
     dens = (u.real - phi.real) ** 2 + (u.imag - phi.imag) ** 2  # no complex difference kept
-    # The window is a run of adjacent nodes.  Summing a slice of each row adds
-    # in the same order as summing that row alone; a masked copy may not.
-    lo_n = int(np.argmax(mask))
+    # Summing a slice of each row adds in the same order as summing that row
+    # alone; a masked copy may not.
     d_a = np.sqrt(dens.sum(axis=1) / cfg.N)
-    d_a_r = np.sqrt(dens[:, lo_n:lo_n + n_r].sum(axis=1) / n_r)
+    d_a_r = np.sqrt(dens[:, window].sum(axis=1) / n_r)
     return traj_u.times.copy(), d_a, d_a_r, n_r
 
 
@@ -180,7 +179,7 @@ def estimate_I_curve(
     the bounds of ``_al_tail`` with ||u(s)||^2 <= B(s), where gamma and delta
     are the lattice's own and B tends to A_*^2 N h, A_* = sqrt(-gamma/delta).
     It is valid under the hypothesis nu*gamma > beta, i.e. the gain/loss run
-    must start below the critical averaged power A_*^2.
+    must start from a nonzero state below the critical averaged power A_*^2.
 
     F1 and F2 are integrated from 0 by a composite 12-node Gauss-Legendre
     rule and accumulated with one cumulative sum.  The poles of
@@ -195,7 +194,7 @@ def estimate_I_curve(
     gamma, delta = cfg.gamma, cfg.delta
     critical_amplitude(gamma, delta)  # DomainError without gain and loss
     if not (u0_norm_sq > 0):
-        raise DomainError("the gain/loss run must start from a nonzero state")
+        raise HypothesisViolated("estimate I needs a gain/loss run from a nonzero state")
     tail_coeff = _al_tail(N0, cfg)
     B, nu, beta = _power_envelope(cfg, u0_norm_sq)
     if nu * gamma <= beta:
@@ -274,7 +273,6 @@ class ProximityReport:
     alpha: float
     N0: float
     smallness: SmallnessCheck
-    initial_distance: float
 
 
 def build_proximity_report(
@@ -304,5 +302,4 @@ def build_proximity_report(
         alpha=alpha,
         N0=n0,
         smallness=smallness_condition(cfg),
-        initial_distance=initial_distance,
     )

@@ -24,11 +24,13 @@ from .core import (
     PlaneWaveIC,
     SechBumpIC,
     System,
+    central_node_index,
     check_system,
     make_initial_condition,
+    node_grid,
 )
 from .errors import ParseError, ValidationError, ValidationFailure
-from .proximity import DpsParams, unit_spacing
+from .proximity import DpsParams, dps_eval, window_nodes
 from .timestep import IntegratorSpec, Method
 
 __all__ = [
@@ -103,21 +105,21 @@ class ScenarioSpec:
         for out in ("mi_scan", "proximity"):
             if out in self.outputs and not (self.cfg.gamma > 0 and self.cfg.delta < 0):
                 raise ValidationError(f"the {out} product needs gamma > 0 and delta < 0")
+        # The rules below are checked by calling the functions the run applies.
+        if "proximity" in self.outputs:
+            window_nodes(self.cfg)
         # the products that track the central node x = 0
-        for out in ("phase_plane", "center_density"):
-            if out in self.outputs and self.cfg.N % 2 != 0:
-                raise ValidationError(f"the {out} product needs an even node count")
-        if ("center_density" in self.outputs and not unit_spacing(self.cfg.h)
-                and any(v.dps_t0 is not None for v in self.variants)):
-            raise ValidationError(
-                "the rogue-profile reference of center_density needs unit spacing (h = 1)"
-            )
+        if {"phase_plane", "center_density"} & set(self.outputs):
+            central_node_index(self.cfg)
         if self.noise_amp < 0 or self.noise_seed < 0:
             raise ValidationError("noise amplitude and seed must be nonnegative")
         # Dry-run every IC so catalog errors surface at load time.
         for variant in self.variants:
             make_initial_condition(variant.ic, self.cfg)
-            variant.dps_reference  # DomainError for a profile on a nonpositive background
+            if variant.dps_t0 is not None:
+                # the rogue profile at x = 0, read there by center_density and --auto-t0
+                dps_eval(node_grid(self.cfg), variant.dps_t0, variant.dps_reference)
+                central_node_index(self.cfg)
         # the manifest holds one gate record, so one background per scenario
         backgrounds = {variant.background for variant in self.variants}
         if len(backgrounds) > 1:

@@ -36,7 +36,6 @@ from dnlslab.core import (
 )
 from dnlslab.proximity import (
     DpsParams,
-    al_invariant,
     al_norm_bound,
     build_proximity_report,
     dps_eval,

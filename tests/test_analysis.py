@@ -321,6 +321,11 @@ class TestGrowthOracle:
         assert fit.grew
         assert fit.rate == pytest.approx(scan.growth[m_star], rel=0.05)
 
+    def test_foreign_gain_loss_pair_rejected(self, cfg):
+        # the oracle integrates cfg itself, so another pair would fit another lattice
+        with pytest.raises(DomainError, match="lattice's own"):
+            mi_growth_oracle(8, 8, cfg, 0.5, -0.5)
+
 
 # ---------------------------------------------------------------------------
 # Spectrum

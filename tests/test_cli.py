@@ -210,10 +210,18 @@ class TestSimulate:
         ("L = 50\nN = 100\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
          "systems = dnls, al\noutputs = densities, proximity\nwindow_lo = -5\n",
          "unknown keys: window_lo"),
+        # and needs a node in it: h = 40 puts the nearest nodes at x = -20 and 20
+        ("L = 100\nN = 5\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
+         "systems = dnls, al\noutputs = densities, proximity\n",
+         "no lattice nodes fall in the window"),
+        # the rogue profile is read at the central node, whatever the outputs
+        ("L = 50.5\nN = 101\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
+         "dps_t0 = 3.3\noutputs = densities\n", "even node count"),
     ], ids=["center_density_odd_N", "rogue_reference_h_2",
             "noise_seed_negative", "spacing_set", "planewave_background_set",
             "other_ic_kind_key", "rogue_background_set", "rogue_background_zero",
-            "bc_periodic", "dnls_dirichlet", "al_dirichlet", "window_lo_set"])
+            "bc_periodic", "dnls_dirichlet", "al_dirichlet", "window_lo_set",
+            "proximity_window_empty", "rogue_reference_odd_N"])
     def test_scenario_precondition_rejected_at_load(self, tmp_path, capsys, body, message):
         cfgfile = tmp_path / "precondition.cfg"
         cfgfile.write_text(f"gamma = 0.0025\ndelta = -0.01\nt_end = 1\n{body}")
@@ -387,6 +395,66 @@ def test_attractor_check_manifest_lists_only_the_integrated_run(tmp_path):
     assert manifest["parameters"]["variants"] == ["ap_plus2"]
     assert manifest["parameters"]["systems"] == ["dnls"]
     assert manifest["products"] == []
+
+
+def test_attractor_check_on_a_paired_scenario(tmp_path):
+    # fig12 pairs each gain/loss run with an integrable one for its proximity
+    # product; attractor-check integrates the gain/loss run alone
+    assert main(["attractor-check", "--scenario", "fig12", "--smoke",
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "fig12" / "manifest.json").read_text())
+    assert manifest["parameters"]["systems"] == ["dnls"]
+    assert manifest["products"] == []
+
+
+def _forbid_integration(monkeypatch):
+    def fail(*args):
+        raise AssertionError("integrated before the input was checked")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+
+
+def test_attractor_check_without_gain_loss_exits_before_integrating(
+    tmp_path, capsys, monkeypatch
+):
+    cfgfile = tmp_path / "conservative.cfg"
+    cfgfile.write_text(
+        "L = 25\nN = 50\ngamma = 0\ndelta = 0\nic = planewave\n"
+        "amplitude = 1\nperturbation = 0.5\nmode = 20\nt_end = 2\n"
+    )
+    _forbid_integration(monkeypatch)
+    out_root = tmp_path / "out"
+    assert main(["attractor-check", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
+    assert "gamma must be > 0" in capsys.readouterr().err
+    assert not (out_root / "conservative").exists()
+
+
+def test_attractor_check_into_foreign_directory_exits_before_integrating(
+    tmp_path, capsys, monkeypatch
+):
+    out_dir = tmp_path / "fig8"
+    out_dir.mkdir()
+    (out_dir / "manifest.json").write_text('["density.csv"]\n')
+    _forbid_integration(monkeypatch)
+    assert main(["attractor-check", "--scenario", "fig8", "--out", str(tmp_path)]) == 2
+    assert "not a run manifest" in capsys.readouterr().err
+    assert (out_dir / "manifest.json").read_text() == '["density.csv"]\n'
+
+
+def test_proximity_from_the_zero_state_has_no_estimate_I(tmp_path):
+    # estimate I's hypothesis needs a nonzero start; estimate II still holds
+    cfgfile = tmp_path / "zero.cfg"
+    cfgfile.write_text(
+        "L = 50\nN = 100\ngamma = 0.0025\ndelta = -0.01\nsystems = dnls, al\n"
+        "ic = planewave\namplitude = 0\nperturbation = 0\nmode = 0\n"
+        "t_end = 1\nsample_every = 0.5\noutputs = densities, proximity\n"
+    )
+    assert main(["simulate", "--scenario", str(cfgfile), "--out", str(tmp_path)]) == 0
+    rows = np.genfromtxt(tmp_path / "zero" / "proximity__main.csv", delimiter=",", names=True)
+    assert rows["t"].size == 3
+    assert np.all(np.isnan(rows["bound_I"])) and np.all(np.isfinite(rows["bound_II"]))
+    manifest = json.loads((tmp_path / "zero" / "manifest.json").read_text())
+    assert manifest["extra"]["proximity__main"]["estimate_I_hypothesis"] is False
 
 
 @pytest.mark.parametrize("argv", [

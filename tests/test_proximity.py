@@ -29,7 +29,7 @@ from dnlslab.proximity import (
     estimate_II_rate,
     smallness_condition,
 )
-from dnlslab.timestep import IntegratorSpec, Method, System, integrate
+from dnlslab.timestep import IntegratorSpec, System, integrate
 
 
 def estimate_I_closed_forms(cfg, u0_norm_sq, times):
@@ -271,6 +271,11 @@ class TestEstimateI:
         u0_norm_sq = 0.3**2 * 400 * 1.0 * 1.2
         with pytest.raises(HypothesisViolated):
             estimate_I_curve(cfg_wide, 120.0, 0.0, np.array([0.0, 1.0]))
+
+    def test_zero_start_violates_the_hypothesis(self, cfg_wide):
+        # nu = 1/||u(0)||^2 does not exist, so the estimate does not apply
+        with pytest.raises(HypothesisViolated):
+            estimate_I_curve(cfg_wide, 0.0, 0.0, np.array([0.0, 1.0]))
 
     def test_power_envelope_endpoints(self, cfg_wide):
         B, nu, beta = _power_envelope(cfg_wide, 90.0)
