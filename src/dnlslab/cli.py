@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .core import (
     GeneralizedBCSpec,
     PlaneWaveIC,
     LatticeConfig,
+    _validate_mode,
     critical_amplitude,
     generalized_gate,
     make_initial_condition,
@@ -130,28 +132,38 @@ def _base_manifest(spec: ScenarioSpec) -> RunManifest:
     )
 
 
-def _run_dir(out_root: Path, name: str) -> Path:
-    """Create ``<out>/<name>`` and remove the manifest of an earlier run there
-    and the products it lists; files no manifest lists are left alone."""
+@contextmanager
+def _run_dir(out_root: Path, manifest: RunManifest):
+    """The one writer of a run directory.
+
+    Creates ``<out>/<manifest.scenario>`` and removes the manifest of an
+    earlier run there and the products it lists (files no manifest lists are
+    left alone), all before the body does any work.  Yields the directory;
+    only when the body returns does it record the body's wall time and write
+    ``manifest.json``, last."""
+    name = manifest.scenario
     if name in (".", "..") or Path(name).name != name:
         raise ValidationFailure(f"run name {name!r} must be a single directory name")
     out_dir = out_root / name
     out_dir.mkdir(parents=True, exist_ok=True)
-    old = out_dir / "manifest.json"
-    if old.is_file():
+    record = out_dir / "manifest.json"
+    if record.is_file():
         try:
-            listed = json.loads(old.read_text(encoding="utf-8"))["products"]
+            listed = json.loads(record.read_text(encoding="utf-8"))["products"]
         except (ValueError, KeyError, TypeError):
             listed = None
         if not (isinstance(listed, list) and all(isinstance(p, str) for p in listed)):
             raise ValidationFailure(
-                f"{old} is not a run manifest; remove it or pick another --out"
+                f"{record} is not a run manifest; remove it or pick another --out"
             )
         for product in listed + ["manifest.json"]:
             path = out_dir / product
             if Path(product).name == product and path.is_file():
                 path.unlink()
-    return out_dir
+    started = time.perf_counter()
+    yield out_dir
+    manifest.wall_time_s = time.perf_counter() - started
+    write_manifest(record, manifest)
 
 
 def run_scenario(
@@ -161,9 +173,7 @@ def run_scenario(
     auto_t0: bool = False,
 ) -> Path:
     """Run every (variant, system) pair of a scenario and emit its products."""
-    out_dir = _run_dir(out_root, spec.name)
     manifest = _base_manifest(spec)
-    started = time.perf_counter()
     cfg = spec.cfg
     single = len(spec.systems) == 1 and len(spec.variants) == 1
 
@@ -218,22 +228,12 @@ def run_scenario(
                 "smallness_rhs": report.smallness.rhs,
                 "estimate_I_hypothesis": report.bound_I is not None,
             }
-        if "mi_scan" in spec.outputs:
-            a_star = critical_amplitude(cfg.gamma, cfg.delta)
-            if isinstance(variant.ic, PlaneWaveIC):
-                carriers = [variant.ic.mode]
-            else:
-                carriers = list(range(cfg.N // 2 + 1))
-            emit(write_mi_scan_csv, "mi_scan", None, variant.label,
-                 [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers])
 
-    for variant in spec.variants:
-        run_variant(variant)
-
-    if plot_scripts:
-        manifest.products.extend(write_plot_scripts(out_dir, list(spec.outputs)))
-    manifest.wall_time_s = time.perf_counter() - started
-    write_manifest(out_dir / "manifest.json", manifest)
+    with _run_dir(out_root, manifest) as out_dir:
+        for variant in spec.variants:
+            run_variant(variant)
+        if plot_scripts:
+            manifest.products.extend(write_plot_scripts(out_dir, list(spec.outputs)))
     return out_dir
 
 
@@ -256,12 +256,10 @@ def _cmd_gate(args) -> int:
     if args.zeta is not None or args.g_freq is not None:
         if args.zeta is None or args.g_freq is None:
             raise ValidationFailure("--zeta and --g-freq must be given together")
-        spec = GeneralizedBCSpec(
-            zeta_minus=complex(args.zeta), zeta_plus=complex(args.zeta),
-            zeta=args.zeta, G=args.g_freq,
-        )
+        spec = GeneralizedBCSpec(zeta_minus=complex(args.zeta), zeta_plus=complex(args.zeta),
+                                 G=args.g_freq)
         verdict = generalized_gate(spec, args.gamma, args.delta)
-        print(f"generalized(zeta={args.zeta:g}, G={args.g_freq:g}): "
+        print(f"generalized(zeta={spec.zeta:g}, G={args.g_freq:g}): "
               f"{'yes' if verdict else 'no'}")
     return 0
 
@@ -278,10 +276,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_mi_scan(args) -> int:
     cfg = LatticeConfig(L=args.L, N=args.N, gamma=args.gamma, delta=args.delta)
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
-    carriers = [args.carrier] if args.carrier is not None else list(range(cfg.N // 2 + 1))
-    scans = [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers]
-    out_dir = _run_dir(_out_root(args), "mi_scan")
-    write_mi_scan_csv(out_dir / "mi_scan.csv", scans)
+    # a carrier out of range exits 2 before the run directory is touched
+    carriers = ([_validate_mode(args.carrier, cfg.N)] if args.carrier is not None
+                else list(range(cfg.N // 2 + 1)))
     manifest = RunManifest(
         scenario="mi_scan",
         parameters={**_lattice_record(cfg), "carriers": carriers},
@@ -290,7 +287,9 @@ def _cmd_mi_scan(args) -> int:
         software_version=__version__,
         products=["mi_scan.csv"],
     )
-    write_manifest(out_dir / "manifest.json", manifest)
+    with _run_dir(_out_root(args), manifest) as out_dir:
+        scans = [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers]
+        write_mi_scan_csv(out_dir / "mi_scan.csv", scans)
     for scan in scans:
         verdict = "unstable" if scan.carrier_unstable else "stable"
         print(f"K={scan.K:3d}  {verdict:8s}  band={sorted(scan.unstable_band)}")
@@ -320,20 +319,20 @@ def _cmd_attractor_check(args) -> int:
     spec = replace(spec, systems=(System.DNLS,), variants=spec.variants[:1], outputs=())
     cfg = spec.cfg
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
-    out_dir = _run_dir(_out_root(args), spec.name)
-    traj = integrate(System.DNLS, _initial_state(spec, spec.variants[0]), cfg, spec.integrator)
-    # the final min(5, t_end/2) of the run, judged within ATTRACTOR_TOL
-    window = min(5.0, spec.integrator.t_end / 2)
-    verdict = attractor_verdict(traj, cfg, a_star, t_window=window)
     manifest = _base_manifest(spec)
-    manifest.extra["attractor_verdict"] = {
-        "converged": verdict.converged,
-        "final_mode": verdict.final_mode,
-        "in_stable_band": verdict.in_stable_band,
-        "tol_amp": ATTRACTOR_TOL,
-        "t_window": window,
-    }
-    write_manifest(out_dir / "manifest.json", manifest)
+    with _run_dir(_out_root(args), manifest):
+        traj = integrate(System.DNLS, _initial_state(spec, spec.variants[0]), cfg,
+                         spec.integrator)
+        # the final min(5, t_end/2) of the run, judged within ATTRACTOR_TOL
+        window = min(5.0, spec.integrator.t_end / 2)
+        verdict = attractor_verdict(traj, cfg, a_star, t_window=window)
+        manifest.extra["attractor_verdict"] = {
+            "converged": verdict.converged,
+            "final_mode": verdict.final_mode,
+            "in_stable_band": verdict.in_stable_band,
+            "tol_amp": ATTRACTOR_TOL,
+            "t_window": window,
+        }
     print(f"converged={verdict.converged} final_mode={verdict.final_mode} "
           f"in_stable_band={verdict.in_stable_band}")
     return 0
@@ -360,7 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--a", type=float, default=None, help="background amplitude to test")
-    p.add_argument("--zeta", type=float, default=None, help="two-sided boundary modulus")
+    p.add_argument("--zeta", type=float, default=None,
+                   help="boundary value on both sides; the gate reads its modulus")
     p.add_argument("--g-freq", type=float, default=None, help="boundary frequency parameter G")
     p.set_defaults(fn=_cmd_gate)
 

@@ -189,16 +189,16 @@ class GeneralizedBCSpec:
 
     zeta_minus: complex
     zeta_plus: complex
-    zeta: float
     G: float
 
     def __post_init__(self) -> None:
-        if self.zeta < 0:
-            raise DomainError("zeta must be nonnegative")
-        scale = max(self.zeta, 1.0)
-        for side, val in (("zeta_minus", self.zeta_minus), ("zeta_plus", self.zeta_plus)):
-            if abs(abs(val) - self.zeta) > 1e-12 * scale:
-                raise DomainError(f"|{side}| must equal zeta within 1e-12")
+        if abs(abs(self.zeta_plus) - self.zeta) > 1e-12 * max(self.zeta, 1.0):
+            raise DomainError("|zeta_plus| must equal |zeta_minus| within 1e-12")
+
+    @property
+    def zeta(self) -> float:
+        """The common modulus of the boundary values."""
+        return abs(self.zeta_minus)
 
 
 def generalized_gate(spec: GeneralizedBCSpec, gamma: float, delta: float) -> bool:

@@ -259,26 +259,6 @@ if np.all(np.isfinite(data["bound_I"])):
 plt.xlabel("t"); plt.ylabel("averaged distance"); plt.legend()
 plt.tight_layout(); plt.show()
 """,
-    "mi_scan": """\
-# Render a sideband growth map (K, M, growth).
-# Usage: python plot_mi_scan.txt CSV
-import sys
-import numpy as np
-import matplotlib.pyplot as plt
-
-data = np.genfromtxt(sys.argv[1], delimiter=",", names=True)
-ks = np.unique(data["K"]).astype(int)
-if ks.size == 1:
-    sel = data[data["K"] == ks[0]]
-    plt.plot(sel["M"], sel["growth"], "o-")
-    plt.xlabel("M"); plt.ylabel("growth")
-else:
-    ms = np.unique(data["M"]).astype(int)
-    grid = data["growth"].reshape(ks.size, ms.size)
-    plt.pcolormesh(ms, ks, grid, shading="nearest", cmap="magma")
-    plt.colorbar(label="growth"); plt.xlabel("M"); plt.ylabel("K")
-plt.tight_layout(); plt.show()
-""",
 }
 
 

@@ -49,7 +49,6 @@ KNOWN_OUTPUTS = (
     "center_density",
     "wedge",
     "proximity",
-    "mi_scan",
 )
 
 
@@ -100,13 +99,12 @@ class ScenarioSpec:
         for out in self.outputs:
             if out not in KNOWN_OUTPUTS:
                 raise ValidationError(f"unknown output product {out!r}")
-        if "proximity" in self.outputs and set(self.systems) != {System.DNLS, System.AL}:
-            raise ValidationError("the proximity product needs paired dnls and al runs")
-        for out in ("mi_scan", "proximity"):
-            if out in self.outputs and not (self.cfg.gamma > 0 and self.cfg.delta < 0):
-                raise ValidationError(f"the {out} product needs gamma > 0 and delta < 0")
-        # The rules below are checked by calling the functions the run applies.
         if "proximity" in self.outputs:
+            if set(self.systems) != {System.DNLS, System.AL}:
+                raise ValidationError("the proximity product needs paired dnls and al runs")
+            if not (self.cfg.gamma > 0 and self.cfg.delta < 0):
+                raise ValidationError("the proximity product needs gamma > 0 and delta < 0")
+            # checked, like the rules below, by calling the function the run applies
             window_nodes(self.cfg)
         # the products that track the central node x = 0
         if {"phase_plane", "center_density"} & set(self.outputs):

@@ -418,8 +418,7 @@ def _run(rhs, y: np.ndarray, sample_times: np.ndarray, spec: IntegratorSpec) -> 
     np.add(spec.atol, np.multiply(spec.rtol, np.abs(y, abs_new), scale), scale)
     nxt = 1  # index of the next sample to fill
     while t < t_stop:
-        clamped = h_prop > (t_end - t)
-        h = t_end - t if clamped else h_prop
+        h = min(h_prop, t_end - t)
         if h < MIN_STEP:
             # Underflow with the state already far beyond any bounded-regime
             # amplitude is finite-time collapse, not a tolerance problem.
@@ -468,9 +467,7 @@ def _run(rhs, y: np.ndarray, sample_times: np.ndarray, spec: IntegratorSpec) -> 
             K[0] = K_up  # FSAL
             np.add(spec.atol, np.multiply(spec.rtol, abs_new, scale), scale)
             factor = grow if ratio == 0.0 else min(grow, max(0.2, 0.9 * ratio ** expo))
-            grown = h * factor
-            # A step clamped to the final time must not talk the controller down.
-            h_prop = max(h_prop, grown) if clamped else grown
+            h_prop = h * factor
         else:
             # A rejected trial that lands finitely beyond the guard is a
             # genuine collapse, not a tolerance problem.

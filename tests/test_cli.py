@@ -9,7 +9,7 @@ import pytest
 from dnlslab import cli
 from dnlslab.cli import main
 from dnlslab.core import LatticeConfig
-from dnlslab.errors import ValidationError
+from dnlslab.errors import StepFailure, ValidationError
 from dnlslab.products import write_density_csv
 from dnlslab.scenarios import load_scenario
 from dnlslab.timestep import Method, System, Trajectory
@@ -147,7 +147,7 @@ class TestSimulate:
         assert manifest["gate"]["solvable"] is None
         assert manifest["products"] == ["density.csv"]
 
-    @pytest.mark.parametrize("product", ["mi_scan", "proximity"])
+    @pytest.mark.parametrize("product", ["proximity"])
     def test_gain_loss_product_without_gain_loss_rejected_at_load(
         self, tmp_path, capsys, product
     ):
@@ -161,6 +161,37 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
         assert "gamma > 0 and delta < 0" in capsys.readouterr().err
         assert not (out_root / "conservative").exists()
+
+    def test_rk4_scenario_file_run(self, tmp_path):
+        # the fixed-step method from a file: 11 samples of 50 nodes to t = 1
+        cfgfile = tmp_path / "rk4.cfg"
+        cfgfile.write_text(
+            "L = 25\nN = 50\ngamma = 1.5\ndelta = -1.5\nic = planewave\n"
+            "amplitude = 1\nperturbation = 0.5\nmode = 20\nt_end = 1\n"
+            "method = rk4\ndt = 0.01\n"
+        )
+        assert main(["simulate", "--scenario", str(cfgfile), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "rk4" / "manifest.json").read_text())
+        assert manifest["integrator"]["method"] == "rk4"
+        assert manifest["products"] == ["density.csv"]
+        rows = np.loadtxt(tmp_path / "rk4" / "density.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (11 * 50, 3)
+        assert np.all(np.isfinite(rows))
+
+    def test_odd_n_rogue_reference_under_auto_t0_exits_before_integrating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfgfile = tmp_path / "oddref.cfg"
+        cfgfile.write_text(
+            "L = 50.5\nN = 101\ngamma = 0.0025\ndelta = -0.01\nic = sech\n"
+            "background = 0.5\nsigma = 0.6\nrho = 1.0\ndps_t0 = 3.3\nt_end = 1\n"
+        )
+        _forbid_integration(monkeypatch)
+        out_root = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(cfgfile), "--auto-t0",
+                     "--out", str(out_root)]) == 2
+        assert "even node count" in capsys.readouterr().err
+        assert not out_root.exists()
 
     @pytest.mark.parametrize("setting", list(NON_FINITE_SETTINGS))
     def test_non_finite_integrator_setting_rejected_at_load(self, tmp_path, capsys, setting):
@@ -217,11 +248,14 @@ class TestSimulate:
         # the rogue profile is read at the central node, whatever the outputs
         ("L = 50.5\nN = 101\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
          "dps_t0 = 3.3\noutputs = densities\n", "even node count"),
+        # the sideband map needs no integration: dnlslab mi-scan writes it
+        ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 8\n"
+         "outputs = mi_scan\n", "unknown output product 'mi_scan'"),
     ], ids=["center_density_odd_N", "rogue_reference_h_2",
             "noise_seed_negative", "spacing_set", "planewave_background_set",
             "other_ic_kind_key", "rogue_background_set", "rogue_background_zero",
             "bc_periodic", "dnls_dirichlet", "al_dirichlet", "window_lo_set",
-            "proximity_window_empty", "rogue_reference_odd_N"])
+            "proximity_window_empty", "rogue_reference_odd_N", "mi_scan_output"])
     def test_scenario_precondition_rejected_at_load(self, tmp_path, capsys, body, message):
         cfgfile = tmp_path / "precondition.cfg"
         cfgfile.write_text(f"gamma = 0.0025\ndelta = -0.01\nt_end = 1\n{body}")
@@ -377,6 +411,28 @@ def test_compare_al_emits_proximity(tmp_path):
     assert manifest["extra"]["proximity__algebraic"]["smallness_ok"] is False
 
 
+def test_compare_al_pairs_an_unpaired_scenario(tmp_path):
+    # fig9a runs the gain/loss lattice alone; compare-al adds the integrable
+    # run and the proximity product to its own outputs
+    assert main(["compare-al", "--scenario", "fig9a", "--smoke", "--out", str(tmp_path)]) == 0
+    out_dir = tmp_path / "fig9a"
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["parameters"]["systems"] == ["dnls", "al"]
+    assert "proximity__algebraic.csv" in manifest["products"]
+    assert "proximity__algebraic" in manifest["extra"]
+    rows = np.genfromtxt(out_dir / "proximity__algebraic.csv", delimiter=",", names=True)
+    assert rows["D_a"][0] == 0.0  # identical initial data
+    assert rows["D_a"][-1] > 0.0
+    densities = {}
+    for system in ("dnls", "al"):
+        name = f"density__{system}__algebraic.csv"
+        assert name in manifest["products"]
+        densities[system] = np.loadtxt(out_dir / name, delimiter=",", skiprows=1)
+    assert densities["dnls"].shape == densities["al"].shape == (101 * 400, 3)
+    assert np.array_equal(densities["dnls"][:400], densities["al"][:400])
+    assert not np.array_equal(densities["dnls"][-400:], densities["al"][-400:])
+
+
 def test_attractor_check(tmp_path, capsys):
     assert main(["attractor-check", "--scenario", "fig5", "--smoke",
                  "--out", str(tmp_path)]) == 0
@@ -385,6 +441,7 @@ def test_attractor_check(tmp_path, capsys):
     assert "in_stable_band=True" in out
     manifest = json.loads((tmp_path / "fig5" / "manifest.json").read_text())
     assert manifest["extra"]["attractor_verdict"]["final_mode"] == 45
+    assert manifest["wall_time_s"] > 0.0
 
 
 def test_attractor_check_manifest_lists_only_the_integrated_run(tmp_path):
@@ -490,6 +547,51 @@ def test_mi_scan_command(tmp_path, capsys):
     manifest = json.loads((tmp_path / "mi_scan" / "manifest.json").read_text())
     assert manifest["parameters"] == {"L": 50.0, "N": 100, "h": 1.0, "k": 1.0, "gamma": 1.5,
                                       "delta": -1.5, "bc": "periodic", "carriers": [8]}
+    assert manifest["products"] == ["mi_scan.csv"]
+    assert manifest["wall_time_s"] > 0.0
+
+
+MI_SCAN_ARGS = ["mi-scan", "--gamma", "1.5", "--delta", "-1.5", "--L", "50", "--N", "100"]
+
+
+def test_mi_scan_carrier_out_of_range_exits_before_the_run_directory(tmp_path, capsys):
+    assert main(MI_SCAN_ARGS + ["--carrier", "51", "--out", str(tmp_path)]) == 2
+    assert "mode index must lie in [0, N/2]" in capsys.readouterr().err
+    assert not (tmp_path / "mi_scan").exists()
+
+
+def test_mi_scan_into_foreign_directory_exits_before_scanning(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "mi_scan"
+    out_dir.mkdir()
+    (out_dir / "manifest.json").write_text('["mi_scan.csv"]\n')
+
+    def fail(*args):
+        raise AssertionError("scanned before the run directory was checked")
+
+    monkeypatch.setattr(cli, "mi_scan", fail)
+    assert main(MI_SCAN_ARGS + ["--out", str(tmp_path)]) == 2
+    assert "not a run manifest" in capsys.readouterr().err
+    assert (out_dir / "manifest.json").read_text() == '["mi_scan.csv"]\n'
+
+
+@pytest.mark.parametrize("argv, name, target", [
+    (["simulate", "--scenario", "fig5", "--smoke"], "fig5", "integrate"),
+    (["attractor-check", "--scenario", "fig5", "--smoke"], "fig5", "integrate"),
+    (MI_SCAN_ARGS, "mi_scan", "mi_scan"),
+], ids=["simulate", "attractor_check", "mi_scan"])
+def test_failed_run_leaves_no_manifest(tmp_path, capsys, monkeypatch, argv, name, target):
+    # the manifest of an earlier run goes before the work starts, and a run
+    # whose work fails writes none
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / name / "manifest.json").exists()
+
+    def fail(*args):
+        raise StepFailure("step size underflowed")
+
+    monkeypatch.setattr(cli, target, fail)
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert "step size underflowed" in capsys.readouterr().err
+    assert not (tmp_path / name / "manifest.json").exists()
 
 
 def test_empty_trajectory_gives_header_only_csv(tmp_path):

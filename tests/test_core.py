@@ -143,19 +143,19 @@ def test_solvability_gate_examples():
 
 def test_generalized_gate_examples():
     z = 0.5 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    spec = GeneralizedBCSpec(zeta_minus=z, zeta_plus=z.conjugate(), zeta=0.5, G=0.5)
+    spec = GeneralizedBCSpec(zeta_minus=z, zeta_plus=z.conjugate(), G=0.5)
     assert generalized_gate(spec, 0.0025, -0.01) is True
 
-    spec = GeneralizedBCSpec(zeta_minus=0.5, zeta_plus=0.5, zeta=0.5, G=0.7)
+    spec = GeneralizedBCSpec(zeta_minus=0.5, zeta_plus=0.5, G=0.7)
     assert generalized_gate(spec, 0.0025, -0.01) is False
 
-    spec = GeneralizedBCSpec(zeta_minus=1.0, zeta_plus=1.0, zeta=1.0, G=1.0)
+    spec = GeneralizedBCSpec(zeta_minus=1.0, zeta_plus=1.0, G=1.0)
     assert generalized_gate(spec, 0.0025, -0.01) is False
 
 
 def test_generalized_spec_modulus_invariant():
     with pytest.raises(DomainError):
-        GeneralizedBCSpec(zeta_minus=0.5, zeta_plus=0.4, zeta=0.5, G=0.5)
+        GeneralizedBCSpec(zeta_minus=0.5, zeta_plus=0.4, G=0.5)
 
 
 # ---------------------------------------------------------------------------
