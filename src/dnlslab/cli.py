@@ -39,7 +39,6 @@ from .products import (
     write_manifest,
     write_mi_scan_csv,
     write_phase_plane_csv,
-    write_plot_scripts,
     write_proximity_csv,
     write_spectrum_csv,
     write_wedge_csv,
@@ -169,7 +168,6 @@ def _run_dir(out_root: Path, manifest: RunManifest):
 def run_scenario(
     spec: ScenarioSpec,
     out_root: Path,
-    plot_scripts: bool = False,
     auto_t0: bool = False,
 ) -> Path:
     """Run every (variant, system) pair of a scenario and emit its products."""
@@ -232,8 +230,6 @@ def run_scenario(
     with _run_dir(out_root, manifest) as out_dir:
         for variant in spec.variants:
             run_variant(variant)
-        if plot_scripts:
-            manifest.products.extend(write_plot_scripts(out_dir, list(spec.outputs)))
     return out_dir
 
 
@@ -266,9 +262,7 @@ def _cmd_gate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _resolve_scenario(args)
-    out_dir = run_scenario(
-        spec, _out_root(args), plot_scripts=args.plot_scripts, auto_t0=args.auto_t0
-    )
+    out_dir = run_scenario(spec, _out_root(args), auto_t0=args.auto_t0)
     print(f"wrote {out_dir}")
     return 0
 
@@ -305,7 +299,7 @@ def _cmd_compare_al(args) -> int:
             systems=(System.DNLS, System.AL),
             outputs=tuple(dict.fromkeys(spec.outputs + ("proximity",))),
         )
-    out_dir = run_scenario(spec, _out_root(args), plot_scripts=args.plot_scripts)
+    out_dir = run_scenario(spec, _out_root(args))
     print(f"wrote {out_dir}")
     return 0
 
@@ -364,22 +358,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-freq", type=float, default=None, help="boundary frequency parameter G")
     p.set_defaults(fn=_cmd_gate)
 
-    def add_run_args(p, with_products=True, with_auto_t0=False):
+    def add_run_args(p):
         p.add_argument("--scenario", required=True,
                        help="catalog name or path to a scenario file")
         p.add_argument("--out", default=None, help="output root (default: $DNLS_OUT or ./out)")
         p.add_argument("--ap", type=float, default=None,
                        help="override the plane-wave perturbation amplitude")
         p.add_argument("--smoke", action="store_true", help="cap the horizon at t=10")
-        if with_products:
-            p.add_argument("--plot-scripts", action="store_true",
-                           help="emit companion plot scripts")
-        if with_auto_t0:
-            p.add_argument("--auto-t0", action="store_true",
-                           help="locate the rogue-profile reference time from the run")
 
     p = add_parser("simulate", help="run a scenario and emit its data products")
-    add_run_args(p, with_auto_t0=True)
+    add_run_args(p)
+    p.add_argument("--auto-t0", action="store_true",
+                   help="locate the rogue-profile reference time from the run")
     p.set_defaults(fn=_cmd_simulate)
 
     p = add_parser("mi-scan", help="sideband growth map for one or all carriers")
@@ -396,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare_al)
 
     p = add_parser("attractor-check", help="long-run convergence verdict")
-    add_run_args(p, with_products=False)
+    add_run_args(p)
     p.set_defaults(fn=_cmd_attractor_check)
 
     return parser

@@ -47,7 +47,6 @@ __all__ = [
     "write_mi_scan_csv",
     "write_proximity_csv",
     "write_manifest",
-    "write_plot_scripts",
     "WEDGE_SLOPE",
 ]
 
@@ -172,105 +171,3 @@ def write_manifest(path: Path, manifest: RunManifest) -> None:
         json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-# ---------------------------------------------------------------------------
-# Companion plot scripts
-# ---------------------------------------------------------------------------
-
-_PLOT_TEMPLATES = {
-    "densities": """\
-# Render a density CSV (t, x, density) as a spacetime map, with the wedge
-# overlay when present.  Usage:
-#   python plot_densities.txt DENSITY_CSV [WEDGE_CSV]
-import sys
-import numpy as np
-import matplotlib.pyplot as plt
-
-data = np.genfromtxt(sys.argv[1], delimiter=",", names=True)
-ts = np.unique(data["t"]); xs = np.unique(data["x"])
-grid = data["density"].reshape(ts.size, xs.size)
-plt.pcolormesh(xs, ts, grid, shading="nearest", cmap="viridis")
-plt.colorbar(label="|u|^2")
-if len(sys.argv) > 2:
-    wedge = np.genfromtxt(sys.argv[2], delimiter=",", names=True)
-    plt.plot(wedge["x_minus"], wedge["t"], "k-", lw=1)
-    plt.plot(wedge["x_plus"], wedge["t"], "k-", lw=1)
-    plt.xlim(xs[0], xs[-1])
-plt.xlabel("x"); plt.ylabel("t")
-plt.tight_layout(); plt.show()
-""",
-    "spectrum": """\
-# Render spectrum snapshots (t, K, abs_coeff).  Usage:
-#   python plot_spectrum.txt SPECTRUM_CSV [t1 t2 ...]
-import sys
-import numpy as np
-import matplotlib.pyplot as plt
-
-data = np.genfromtxt(sys.argv[1], delimiter=",", names=True)
-ts = np.unique(data["t"])
-wanted = [float(v) for v in sys.argv[2:]] or [ts[0], ts[-1]]
-for tw in wanted:
-    tn = ts[np.argmin(np.abs(ts - tw))]
-    sel = data[data["t"] == tn]
-    plt.semilogy(sel["K"], np.maximum(sel["abs_coeff"], 1e-18), label=f"t={tn:g}")
-plt.xlabel("K"); plt.ylabel("|A_K|"); plt.legend()
-plt.tight_layout(); plt.show()
-""",
-    "phase_plane": """\
-# Render central-node orbits (t, re_center, im_center) in the complex plane.
-# Usage: python plot_phase_plane.txt CSV [CSV ...]
-import sys
-import numpy as np
-import matplotlib.pyplot as plt
-
-for path in sys.argv[1:]:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    plt.plot(data["re_center"], data["im_center"], lw=0.8, label=path)
-plt.gca().set_aspect("equal")
-plt.xlabel("Re u_c"); plt.ylabel("Im u_c"); plt.legend(fontsize=7)
-plt.tight_layout(); plt.show()
-""",
-    "center_density": """\
-# Render the central-node density series against its rogue-profile reference.
-# Usage: python plot_center_density.txt CSV
-import sys
-import numpy as np
-import matplotlib.pyplot as plt
-
-data = np.genfromtxt(sys.argv[1], delimiter=",", names=True)
-plt.plot(data["t"], data["density"], "b-", label="run")
-if "dps_density" in data.dtype.names:
-    plt.plot(data["t"], data["dps_density"], "r--", label="rogue profile")
-plt.xlabel("t"); plt.ylabel("|u_c|^2"); plt.legend()
-plt.tight_layout(); plt.show()
-""",
-    "proximity": """\
-# Render distance curves and envelopes (t, D_a, D_a_r, bound_I, bound_II).
-# Usage: python plot_proximity.txt CSV
-import sys
-import numpy as np
-import matplotlib.pyplot as plt
-
-data = np.genfromtxt(sys.argv[1], delimiter=",", names=True)
-plt.plot(data["t"], data["D_a"], label="D_a")
-plt.plot(data["t"], data["D_a_r"], label="D_a_r")
-if np.all(np.isfinite(data["bound_I"])):
-    plt.plot(data["t"], data["bound_I"], "k:", label="estimate I")
-plt.xlabel("t"); plt.ylabel("averaged distance"); plt.legend()
-plt.tight_layout(); plt.show()
-""",
-}
-
-
-def write_plot_scripts(out_dir: Path, products: list[str]) -> list[str]:
-    """Emit companion plot scripts for the product kinds present."""
-    written = []
-    for kind in dict.fromkeys(products):
-        template = _PLOT_TEMPLATES.get(kind)
-        if template is None:
-            continue
-        name = f"plot_{kind}.txt"
-        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(template)
-        written.append(name)
-    return written

@@ -236,9 +236,6 @@ class SmallnessCheck:
     lhs: float
     rhs: float
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def smallness_condition(cfg: LatticeConfig) -> SmallnessCheck:
     """Check the gain-strength smallness requirement behind a moderate

@@ -71,7 +71,7 @@ SYSTEM_RULE_BREAKS = {
 class TestSimulate:
     def test_fig5_smoke_products_and_manifest(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "fig5", "--smoke",
-                     "--out", str(tmp_path), "--plot-scripts"]) == 0
+                     "--out", str(tmp_path)]) == 0
         out_dir = tmp_path / "fig5"
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["gate"]["solvable"] is True
@@ -83,7 +83,6 @@ class TestSimulate:
         names = set(manifest["products"])
         assert "phase_plane__dnls__ap_plus2.csv" in names
         assert "phase_plane__dnls__ap_minus0p999.csv" in names
-        assert "plot_spectrum.txt" in names
 
     def test_fig5_orbits_converge_to_unit_circle(self, tmp_path):
         assert main(["simulate", "--scenario", "fig5", "--smoke",
@@ -294,7 +293,7 @@ class TestSimulate:
             return names == sorted(manifest["products"] + ["manifest.json"])
 
         out_dir = tmp_path / "fig5"
-        assert main(["simulate", "--scenario", "fig5", "--smoke", "--plot-scripts",
+        assert main(["simulate", "--scenario", "fig5", "--smoke",
                      "--out", str(tmp_path)]) == 0
         # a scenario file of the same name with a single output
         cfgfile = tmp_path / "fig5.cfg"
@@ -516,6 +515,8 @@ def test_proximity_from_the_zero_state_has_no_estimate_I(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["attractor-check", "--scenario", "fig5", "--smoke", "--plot-scripts"],
+    ["simulate", "--scenario", "fig5", "--smoke", "--plot-scripts"],
+    ["compare-al", "--scenario", "fig12", "--smoke", "--plot-scripts"],
     ["mi-scan", "--gamma", "1.5", "--delta", "-1.5", "--L", "50", "--N", "100", "--h", "1"],
     # abbreviations of --window and --plot-scripts
     ["attractor-check", "--scenario", "fig5", "--smoke", "--win", "3"],
@@ -523,7 +524,8 @@ def test_proximity_from_the_zero_state_has_no_estimate_I(tmp_path):
     ["gate", "--gamma", "1.5", "--delta", "-1.5", "--a", "1", "--tol", "1e-9"],
     ["attractor-check", "--scenario", "fig5", "--smoke", "--tol-amp", "1e-3"],
     ["attractor-check", "--scenario", "fig5", "--smoke", "--window", "3"],
-], ids=["attractor_check_plot_scripts", "mi_scan_h", "attractor_check_win", "simulate_plot",
+], ids=["attractor_check_plot_scripts", "simulate_plot_scripts", "compare_al_plot_scripts",
+        "mi_scan_h", "attractor_check_win", "simulate_plot",
         "gate_tol", "attractor_check_tol_amp", "attractor_check_window"])
 def test_removed_flags_exit_2(tmp_path, argv):
     if argv[0] != "gate":  # gate writes nothing and takes no --out

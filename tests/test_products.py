@@ -20,11 +20,9 @@ from dnlslab.products import (
     write_density_csv,
     write_mi_scan_csv,
     write_phase_plane_csv,
-    write_plot_scripts,
     write_spectrum_csv,
 )
 from dnlslab.proximity import DpsParams, dps_eval
-from dnlslab.scenarios import KNOWN_OUTPUTS
 from dnlslab.timestep import IntegratorSpec, System, Trajectory, integrate
 
 
@@ -154,10 +152,3 @@ def test_field_writers_match_the_rules(tmp_path, short_run):
     _assert_text(tmp_path / "s.csv", _oracle_text(("t", "K", "abs_coeff"), spectrum_rows))
     _assert_text(tmp_path / "c.csv",
                  _oracle_text(("t", "density", "dps_density"), center_rows))
-
-
-def test_plot_scripts_name_their_own_files(tmp_path):
-    names = write_plot_scripts(tmp_path, list(KNOWN_OUTPUTS))
-    assert names
-    for name in names:
-        assert f"python {name} " in (tmp_path / name).read_text(), name

@@ -261,6 +261,52 @@ class TestRhsHooks:
         assert calls == []
 
 
+# images of a state, or of every sampled state, on the node axis
+def _roll7(v):
+    return np.roll(v, 7, axis=-1)
+
+
+def _periodic_mirror(v):  # n -> -n mod N
+    return np.roll(v[..., ::-1], 1, axis=-1)
+
+
+def _dirichlet_mirror(v):  # n -> N-1-n
+    return v[..., ::-1]
+
+
+_SYMMETRIES = [
+    pytest.param(System.DNLS, BoundaryKind.PERIODIC, _roll7, id="dnls_roll7"),
+    pytest.param(System.DNLS, BoundaryKind.PERIODIC, _periodic_mirror, id="dnls_mirror"),
+    pytest.param(System.AL, BoundaryKind.PERIODIC, _roll7, id="al_roll7"),
+    pytest.param(System.AL, BoundaryKind.PERIODIC, _periodic_mirror, id="al_mirror"),
+    pytest.param(System.SHIFTED, BoundaryKind.DIRICHLET_ZERO, _dirichlet_mirror,
+                 id="shifted_mirror"),
+]
+
+
+class TestLatticeSymmetry:
+    """Every kernel computes each node by the same expression and the step
+    controller's max norm ignores node order, so the roll n -> n+7 and the
+    mirror n -> -n mod N of the periodic lattice, and the mirror
+    n -> N-1-n of the Dirichlet lattice, hold bit for bit at any horizon,
+    chaotic runs included."""
+
+    @pytest.mark.parametrize("method,t_end", [
+        (Method.DP54_ADAPTIVE, 20.0), (Method.DOP853, 20.0), (Method.RK4_FIXED, 5.0),
+    ], ids=["dp54", "dop853", "rk4"])
+    @pytest.mark.parametrize("system,bc,image", _SYMMETRIES)
+    def test_image_of_the_start_runs_to_the_image_of_the_run(self, system, bc, image,
+                                                             method, t_end):
+        cfg = LatticeConfig(L=50.0, N=100, gamma=1.5, delta=-1.5, bc=bc)
+        rng = np.random.default_rng(7)
+        u0 = 0.5 * (rng.standard_normal(cfg.N) + 1j * rng.standard_normal(cfg.N))
+        assert not np.array_equal(image(u0), u0)
+        spec = IntegratorSpec(t_end=t_end, method=method, dt=0.01, sample_every=1.0)
+        base = integrate(system, ComplexState(u0), cfg, spec, background=0.8)
+        other = integrate(system, ComplexState(image(u0)), cfg, spec, background=0.8)
+        assert np.array_equal(image(base.values), other.values)
+
+
 class TestOrderAndTolerance:
     def test_rk4_fourth_order_on_exact_orbit(self, cfg):
         ic, fam = _attractor_orbit(cfg)
