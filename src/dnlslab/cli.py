@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``simulate``, ``mi-scan``, ``gate``, ``compare-al``,
-``attractor-check``, ``list-scenarios``.  Data products land under
+Subcommands: ``simulate``, ``mi-scan``, ``gate``, ``attractor-check``,
+``list-scenarios``.  A run does what its scenario, from the catalog or from a
+file, describes; only ``--smoke`` caps its horizon.  Data products land under
 ``<out>/<scenario>/``; the output root defaults to ``./out`` and can be
 overridden by ``--out`` or the ``DNLS_OUT`` environment variable.
 Exit codes: 0 success, 2 validation/usage error, 3 runtime failure.
@@ -22,7 +23,6 @@ from .analysis import ATTRACTOR_TOL, attractor_verdict, mi_scan
 from .core import (
     GATE_TOL,
     GeneralizedBCSpec,
-    PlaneWaveIC,
     LatticeConfig,
     _validate_mode,
     critical_amplitude,
@@ -33,7 +33,6 @@ from .core import (
 from .errors import RuntimeFailure, ValidationFailure
 from .products import (
     RunManifest,
-    _center_density,
     write_center_density_csv,
     write_density_csv,
     write_manifest,
@@ -60,33 +59,13 @@ def _out_root(args) -> Path:
 
 def _resolve_scenario(args) -> ScenarioSpec:
     spec = load_scenario(args.scenario)
-    if getattr(args, "ap", None) is not None:
-        base = spec.variants[0]
-        if not isinstance(base.ic, PlaneWaveIC):
-            raise ValidationFailure("--ap applies to plane-wave scenarios only")
-        label = f"ap_{args.ap:g}".replace("-", "minus").replace(".", "p")
-        spec = replace(
-            spec,
-            variants=(replace(base, label=label, ic=replace(base.ic, perturbation=args.ap)),),
-        )
-    if getattr(args, "smoke", False):
-        spec = smoke_variant(spec)
-    return spec
+    return smoke_variant(spec) if args.smoke else spec
 
 
 def _initial_state(spec: ScenarioSpec, variant):
     """Initial state of a variant of ``spec``, with the scenario's noise floor."""
     return apply_noise(make_initial_condition(variant.ic, spec.cfg),
                        spec.noise_amp, spec.noise_seed)
-
-
-def _first_central_peak(traj, cfg, floor: float) -> float | None:
-    """Time of the first local maximum of the central-node density above floor."""
-    dens = _center_density(traj, cfg)
-    for i in range(1, dens.size - 1):
-        if dens[i] > floor and dens[i] > dens[i - 1] and dens[i] >= dens[i + 1]:
-            return float(traj.times[i])
-    return None
 
 
 def _gate_record(spec: ScenarioSpec) -> dict:
@@ -165,11 +144,7 @@ def _run_dir(out_root: Path, manifest: RunManifest):
     write_manifest(record, manifest)
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    out_root: Path,
-    auto_t0: bool = False,
-) -> Path:
+def run_scenario(spec: ScenarioSpec, out_root: Path) -> Path:
     """Run every (variant, system) pair of a scenario and emit its products."""
     manifest = _base_manifest(spec)
     cfg = spec.cfg
@@ -191,14 +166,6 @@ def run_scenario(
         ic = _initial_state(spec, variant)
         trajs = {system: integrate(system, ic, cfg, spec.integrator) for system in spec.systems}
 
-        dps_ref = variant.dps_reference
-        if auto_t0 and dps_ref is not None and System.DNLS in trajs:
-            floor = 2.0 * variant.background**2
-            peak = _first_central_peak(trajs[System.DNLS], cfg, floor)
-            if peak is not None:
-                dps_ref = replace(dps_ref, t0=peak)
-                manifest.extra[f"auto_t0__{variant.label}"] = peak
-
         for system, traj in trajs.items():
             for kind in spec.outputs:
                 if kind == "densities":
@@ -209,7 +176,7 @@ def run_scenario(
                     emit(write_phase_plane_csv, kind, system, variant.label, traj, cfg)
                 elif kind == "center_density":
                     emit(write_center_density_csv, kind, system, variant.label,
-                         traj, cfg, dps_ref)
+                         traj, cfg, variant.dps_reference)
 
         if "wedge" in spec.outputs:
             some_traj = next(iter(trajs.values()))
@@ -262,7 +229,7 @@ def _cmd_gate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _resolve_scenario(args)
-    out_dir = run_scenario(spec, _out_root(args), auto_t0=args.auto_t0)
+    out_dir = run_scenario(spec, _out_root(args))
     print(f"wrote {out_dir}")
     return 0
 
@@ -287,19 +254,6 @@ def _cmd_mi_scan(args) -> int:
     for scan in scans:
         verdict = "unstable" if scan.carrier_unstable else "stable"
         print(f"K={scan.K:3d}  {verdict:8s}  band={sorted(scan.unstable_band)}")
-    print(f"wrote {out_dir}")
-    return 0
-
-
-def _cmd_compare_al(args) -> int:
-    spec = _resolve_scenario(args)
-    if set(spec.systems) != {System.DNLS, System.AL} or "proximity" not in spec.outputs:
-        spec = replace(
-            spec,
-            systems=(System.DNLS, System.AL),
-            outputs=tuple(dict.fromkeys(spec.outputs + ("proximity",))),
-        )
-    out_dir = run_scenario(spec, _out_root(args))
     print(f"wrote {out_dir}")
     return 0
 
@@ -362,14 +316,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True,
                        help="catalog name or path to a scenario file")
         p.add_argument("--out", default=None, help="output root (default: $DNLS_OUT or ./out)")
-        p.add_argument("--ap", type=float, default=None,
-                       help="override the plane-wave perturbation amplitude")
         p.add_argument("--smoke", action="store_true", help="cap the horizon at t=10")
 
     p = add_parser("simulate", help="run a scenario and emit its data products")
     add_run_args(p)
-    p.add_argument("--auto-t0", action="store_true",
-                   help="locate the rogue-profile reference time from the run")
     p.set_defaults(fn=_cmd_simulate)
 
     p = add_parser("mi-scan", help="sideband growth map for one or all carriers")
@@ -380,10 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--carrier", type=int, default=None, help="carrier mode K (default: all)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_mi_scan)
-
-    p = add_parser("compare-al", help="paired gain/loss vs integrable run with distances")
-    add_run_args(p)
-    p.set_defaults(fn=_cmd_compare_al)
 
     p = add_parser("attractor-check", help="long-run convergence verdict")
     add_run_args(p)

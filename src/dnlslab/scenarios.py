@@ -91,6 +91,12 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.systems:
             raise ValidationError("scenario must name at least one system")
+        # each system is integrated, and each output written, once per variant
+        for what, names in (("system", [system.value for system in self.systems]),
+                            ("output", self.outputs)):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ValidationError(f"repeated {what}: {', '.join(repeated)}")
         # as run_scenario integrates them: with no background
         for system in self.systems:
             check_system(system, self.cfg)
@@ -115,7 +121,7 @@ class ScenarioSpec:
         for variant in self.variants:
             make_initial_condition(variant.ic, self.cfg)
             if variant.dps_t0 is not None:
-                # the rogue profile at x = 0, read there by center_density and --auto-t0
+                # the rogue profile at x = 0, read there by center_density
                 dps_eval(node_grid(self.cfg), variant.dps_t0, variant.dps_reference)
                 central_node_index(self.cfg)
         # the manifest holds one gate record, so one background per scenario

@@ -96,12 +96,6 @@ class TestSimulate:
             assert abs(radius[-1] - 1.0) < 1e-3
             assert (radius[0] > 1.0) == start_outside
 
-    def test_ap_override_collapses_variants(self, tmp_path):
-        assert main(["simulate", "--scenario", "fig5", "--smoke", "--ap", "1.5",
-                     "--out", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "fig5" / "manifest.json").read_text())
-        assert manifest["parameters"]["variants"] == ["ap_1p5"]
-
     def test_scenario_file_run(self, tmp_path):
         cfgfile = tmp_path / "mini.cfg"
         cfgfile.write_text(
@@ -177,21 +171,6 @@ class TestSimulate:
         assert rows.shape == (11 * 50, 3)
         assert np.all(np.isfinite(rows))
 
-    def test_odd_n_rogue_reference_under_auto_t0_exits_before_integrating(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        cfgfile = tmp_path / "oddref.cfg"
-        cfgfile.write_text(
-            "L = 50.5\nN = 101\ngamma = 0.0025\ndelta = -0.01\nic = sech\n"
-            "background = 0.5\nsigma = 0.6\nrho = 1.0\ndps_t0 = 3.3\nt_end = 1\n"
-        )
-        _forbid_integration(monkeypatch)
-        out_root = tmp_path / "out"
-        assert main(["simulate", "--scenario", str(cfgfile), "--auto-t0",
-                     "--out", str(out_root)]) == 2
-        assert "even node count" in capsys.readouterr().err
-        assert not out_root.exists()
-
     @pytest.mark.parametrize("setting", list(NON_FINITE_SETTINGS))
     def test_non_finite_integrator_setting_rejected_at_load(self, tmp_path, capsys, setting):
         cfgfile = tmp_path / "planewave.cfg"
@@ -250,14 +229,25 @@ class TestSimulate:
         # the sideband map needs no integration: dnlslab mi-scan writes it
         ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 8\n"
          "outputs = mi_scan\n", "unknown output product 'mi_scan'"),
+        # each system runs, and each product is written, once
+        ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+         "systems = dnls, dnls\n", "repeated system: dnls"),
+        ("L = 50\nN = 100\nic = sech\nbackground = 0.5\nsigma = 0.6\nrho = 1.0\n"
+         "systems = dnls, al, al\noutputs = densities, proximity\n", "repeated system: al"),
+        ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+         "outputs = densities, densities\n", "repeated output: densities"),
     ], ids=["center_density_odd_N", "rogue_reference_h_2",
             "noise_seed_negative", "spacing_set", "planewave_background_set",
             "other_ic_kind_key", "rogue_background_set", "rogue_background_zero",
             "bc_periodic", "dnls_dirichlet", "al_dirichlet", "window_lo_set",
-            "proximity_window_empty", "rogue_reference_odd_N", "mi_scan_output"])
-    def test_scenario_precondition_rejected_at_load(self, tmp_path, capsys, body, message):
+            "proximity_window_empty", "rogue_reference_odd_N", "mi_scan_output",
+            "system_repeated", "paired_system_repeated", "output_repeated"])
+    def test_scenario_precondition_rejected_at_load(
+        self, tmp_path, capsys, monkeypatch, body, message
+    ):
         cfgfile = tmp_path / "precondition.cfg"
         cfgfile.write_text(f"gamma = 0.0025\ndelta = -0.01\nt_end = 1\n{body}")
+        _forbid_integration(monkeypatch)
         out_root = tmp_path / "out"
         assert main(["simulate", "--scenario", str(cfgfile), "--out", str(out_root)]) == 2
         assert message in capsys.readouterr().err
@@ -391,15 +381,8 @@ def test_every_catalog_scenario_runs_in_smoke_mode(tmp_path, name):
     )
 
 
-def test_auto_t0_locates_first_peak(tmp_path):
-    assert main(["simulate", "--scenario", "fig9a", "--smoke", "--auto-t0",
-                 "--out", str(tmp_path)]) == 0
-    manifest = json.loads((tmp_path / "fig9a" / "manifest.json").read_text())
-    assert abs(manifest["extra"]["auto_t0__algebraic"] - 2.4) < 0.5
-
-
-def test_compare_al_emits_proximity(tmp_path):
-    assert main(["compare-al", "--scenario", "fig12", "--out", str(tmp_path)]) == 0
+def test_fig12_emits_proximity(tmp_path):
+    assert main(["simulate", "--scenario", "fig12", "--out", str(tmp_path)]) == 0
     out_dir = tmp_path / "fig12"
     for label in ("algebraic", "sech"):
         rows = np.genfromtxt(out_dir / f"proximity__{label}.csv",
@@ -410,11 +393,18 @@ def test_compare_al_emits_proximity(tmp_path):
     assert manifest["extra"]["proximity__algebraic"]["smallness_ok"] is False
 
 
-def test_compare_al_pairs_an_unpaired_scenario(tmp_path):
-    # fig9a runs the gain/loss lattice alone; compare-al adds the integrable
-    # run and the proximity product to its own outputs
-    assert main(["compare-al", "--scenario", "fig9a", "--smoke", "--out", str(tmp_path)]) == 0
-    out_dir = tmp_path / "fig9a"
+def test_paired_scenario_file_run(tmp_path):
+    # fig9a's lattice and bump, with the integrable run and the proximity
+    # product beside its own outputs
+    cfgfile = tmp_path / "paired.cfg"
+    cfgfile.write_text(
+        "systems = dnls, al\nL = 200\nN = 400\ngamma = 0.0025\ndelta = -0.01\n"
+        "ic = algebraic\nvariant = algebraic\nbackground = 0.5\nlam1 = 1\nlam2 = 1\n"
+        "lam3 = 4\ndps_t0 = 2.4\nt_end = 10\n"
+        "outputs = densities, wedge, center_density, proximity\n"
+    )
+    assert main(["simulate", "--scenario", str(cfgfile), "--out", str(tmp_path)]) == 0
+    out_dir = tmp_path / "paired"
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["parameters"]["systems"] == ["dnls", "al"]
     assert "proximity__algebraic.csv" in manifest["products"]
@@ -516,7 +506,10 @@ def test_proximity_from_the_zero_state_has_no_estimate_I(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["attractor-check", "--scenario", "fig5", "--smoke", "--plot-scripts"],
     ["simulate", "--scenario", "fig5", "--smoke", "--plot-scripts"],
-    ["compare-al", "--scenario", "fig12", "--smoke", "--plot-scripts"],
+    ["compare-al", "--scenario", "fig12", "--smoke"],
+    ["simulate", "--scenario", "fig5", "--smoke", "--ap", "1.5"],
+    ["attractor-check", "--scenario", "fig5", "--smoke", "--ap", "1.5"],
+    ["simulate", "--scenario", "fig11", "--smoke", "--auto-t0"],
     ["mi-scan", "--gamma", "1.5", "--delta", "-1.5", "--L", "50", "--N", "100", "--h", "1"],
     # abbreviations of --window and --plot-scripts
     ["attractor-check", "--scenario", "fig5", "--smoke", "--win", "3"],
@@ -524,9 +517,9 @@ def test_proximity_from_the_zero_state_has_no_estimate_I(tmp_path):
     ["gate", "--gamma", "1.5", "--delta", "-1.5", "--a", "1", "--tol", "1e-9"],
     ["attractor-check", "--scenario", "fig5", "--smoke", "--tol-amp", "1e-3"],
     ["attractor-check", "--scenario", "fig5", "--smoke", "--window", "3"],
-], ids=["attractor_check_plot_scripts", "simulate_plot_scripts", "compare_al_plot_scripts",
-        "mi_scan_h", "attractor_check_win", "simulate_plot",
-        "gate_tol", "attractor_check_tol_amp", "attractor_check_window"])
+], ids=["attractor_check_plot_scripts", "simulate_plot_scripts", "compare_al",
+        "simulate_ap", "attractor_check_ap", "simulate_auto_t0",
+        "mi_scan_h", "attractor_check_win", "simulate_plot", "gate_tol", "attractor_check_tol_amp", "attractor_check_window"])
 def test_removed_flags_exit_2(tmp_path, argv):
     if argv[0] != "gate":  # gate writes nothing and takes no --out
         argv = argv + ["--out", str(tmp_path)]
