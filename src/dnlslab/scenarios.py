@@ -204,7 +204,9 @@ def catalog() -> dict[str, ScenarioSpec]:
             systems=(System.DNLS,),
             cfg=small,
             variants=(ScenarioVariant("ap_plus2", PlaneWaveIC(1.0, 2.0, 8)),),
-            integrator=IntegratorSpec(t_end=3700.0, sample_every=1.0),
+            # DP54 keeps the seed-1234 realisation that converges by t = 3700
+            integrator=IntegratorSpec(t_end=3700.0, method=Method.DP54_ADAPTIVE,
+                                      rtol=1e-9, atol=1e-11, sample_every=1.0),
             outputs=("spectrum", "phase_plane"),
             noise_amp=1e-12,
             noise_seed=1234,

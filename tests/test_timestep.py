@@ -375,6 +375,47 @@ class TestOrderAndTolerance:
         assert work[Method.DOP853] < work[Method.DP54_ADAPTIVE]
         assert error[Method.DOP853] < error[Method.DP54_ADAPTIVE]
 
+    def test_default_pair_beats_catalog_dp54_by_work_precision(self, monkeypatch):
+        # The default, DOP853 at rtol 1e-10 / atol 1e-12, against DP54 at
+        # 1e-9 / 1e-11, which fig6 keeps: on fig5's exact orbits (largest
+        # sample error; 1,384 / 7.0e-9 and 1,489 / 3.4e-9 evaluations / error
+        # against 3,097 / 8.9e-9 and 3,271 / 5.4e-9) and on fig9c's relative
+        # AL-invariant drift (6,538 / 4.4e-12 against 14,893 / 1.0e-10) the
+        # default errs no more with fewer evaluations.
+        default = IntegratorSpec(t_end=1.0)
+        assert (default.method, default.rtol, default.atol) == (Method.DOP853, 1e-10, 1e-12)
+        fig6 = load_scenario("fig6").integrator
+        assert (fig6.method, fig6.rtol, fig6.atol) == (Method.DP54_ADAPTIVE, 1e-9, 1e-11)
+        calls = (_count_hook(monkeypatch, "dnls_rhs_values"),
+                 _count_hook(monkeypatch, "al_rhs_values"))
+
+        def orbit_error(spec, cfg, ic):
+            fam = plane_wave_family(ic.mode, ic.amplitude + ic.perturbation, 0.0, cfg)
+            traj = integrate(System.DNLS, make_initial_condition(ic, cfg), cfg, spec)
+            return max(np.max(np.abs(s.values - plane_wave_exact(fam, t).values))
+                       for t, s in zip(traj.times, traj.states))
+
+        def al_drift(spec, cfg, ic):
+            traj = integrate(System.AL, make_initial_condition(ic, cfg), cfg, spec)
+            inv = traj.diagnostics["al_invariant"]
+            return np.max(np.abs(inv - inv[0])) / abs(inv[0])
+
+        fig5, fig9c = load_scenario("fig5"), load_scenario("fig9c")
+        cases = [(f"fig5 {v.label}", orbit_error, fig5, v.ic) for v in fig5.variants]
+        cases.append(("fig9c", al_drift, fig9c, fig9c.variants[0].ic))
+        for label, measure, scenario, ic in cases:
+            assert scenario.integrator.method is Method.DOP853
+            work, error = [], []
+            for spec in (scenario.integrator,
+                         replace(scenario.integrator, method=Method.DP54_ADAPTIVE,
+                                 rtol=1e-9, atol=1e-11)):
+                for c in calls:
+                    c.clear()
+                error.append(measure(spec, scenario.cfg, ic))
+                work.append(sum(map(len, calls)))
+            assert work[0] < work[1], label
+            assert error[0] <= error[1], label
+
 
 class TestDenseOutput:
     """Adaptive steps are clamped only at the final time; samples inside a
