@@ -3,19 +3,18 @@
 Subcommands: ``simulate``, ``mi-scan``, ``gate``, ``attractor-check``,
 ``list-scenarios``.  A run does what its scenario, from the catalog or from a
 file, describes; only ``--smoke`` caps its horizon.  Data products land under
-``<out>/<scenario>/``; the output root defaults to ``./out`` and can be
-overridden by ``--out`` or the ``DNLS_OUT`` environment variable.
+``<out>/<scenario>/``; the output root ``--out`` defaults to ``./out``.
 Exit codes: 0 success, 2 validation/usage error, 3 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
+from enum import Enum
 from pathlib import Path
 
 from . import __version__
@@ -53,10 +52,6 @@ from .scenarios import (
 from .timestep import System, integrate
 
 
-def _out_root(args) -> Path:
-    return Path(args.out or os.environ.get("DNLS_OUT", "out"))
-
-
 def _resolve_scenario(args) -> ScenarioSpec:
     spec = load_scenario(args.scenario)
     return smoke_variant(spec) if args.smoke else spec
@@ -82,29 +77,23 @@ def _gate_record(spec: ScenarioSpec) -> dict:
     }
 
 
-def _lattice_record(cfg: LatticeConfig) -> dict:
-    """The lattice's entries of a manifest's parameters."""
-    return {"L": cfg.L, "N": cfg.N, "h": cfg.h, "k": cfg.k,
-            "gamma": cfg.gamma, "delta": cfg.delta, "bc": cfg.bc.value}
+def _record(settings) -> dict:
+    """Every field of a settings dataclass (a lattice, an integrator), each
+    enum member written as its value: the manifest's record of it."""
+    return {key: value.value if isinstance(value, Enum) else value
+            for key, value in asdict(settings).items()}
 
 
 def _base_manifest(spec: ScenarioSpec) -> RunManifest:
     return RunManifest(
         scenario=spec.name,
         parameters={
-            **_lattice_record(spec.cfg),
+            **_record(spec.cfg),
             "systems": [s.value for s in spec.systems],
             "variants": [v.label for v in spec.variants],
         },
         gate=_gate_record(spec),
-        integrator={
-            "method": spec.integrator.method.value,
-            "dt": spec.integrator.dt,
-            "rtol": spec.integrator.rtol,
-            "atol": spec.integrator.atol,
-            "t_end": spec.integrator.t_end,
-            "sample_every": spec.integrator.sample_every,
-        },
+        integrator=_record(spec.integrator),
         software_version=__version__,
         noise={"amp": spec.noise_amp, "seed": spec.noise_seed},
     )
@@ -229,7 +218,7 @@ def _cmd_gate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _resolve_scenario(args)
-    out_dir = run_scenario(spec, _out_root(args))
+    out_dir = run_scenario(spec, args.out)
     print(f"wrote {out_dir}")
     return 0
 
@@ -242,13 +231,13 @@ def _cmd_mi_scan(args) -> int:
                 else list(range(cfg.N // 2 + 1)))
     manifest = RunManifest(
         scenario="mi_scan",
-        parameters={**_lattice_record(cfg), "carriers": carriers},
+        parameters={**_record(cfg), "carriers": carriers},
         gate={"a_star": a_star},
         integrator={},
         software_version=__version__,
         products=["mi_scan.csv"],
     )
-    with _run_dir(_out_root(args), manifest) as out_dir:
+    with _run_dir(args.out, manifest) as out_dir:
         scans = [mi_scan(k, cfg, a_star, cfg.delta) for k in carriers]
         write_mi_scan_csv(out_dir / "mi_scan.csv", scans)
     for scan in scans:
@@ -268,7 +257,7 @@ def _cmd_attractor_check(args) -> int:
     cfg = spec.cfg
     a_star = critical_amplitude(cfg.gamma, cfg.delta)
     manifest = _base_manifest(spec)
-    with _run_dir(_out_root(args), manifest):
+    with _run_dir(args.out, manifest):
         traj = integrate(System.DNLS, _initial_state(spec, spec.variants[0]), cfg,
                          spec.integrator)
         # the final min(5, t_end/2) of the run, judged within ATTRACTOR_TOL
@@ -315,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_run_args(p):
         p.add_argument("--scenario", required=True,
                        help="catalog name or path to a scenario file")
-        p.add_argument("--out", default=None, help="output root (default: $DNLS_OUT or ./out)")
+        p.add_argument("--out", type=Path, default=Path("out"),
+                       help="output root (default: ./out)")
         p.add_argument("--smoke", action="store_true", help="cap the horizon at t=10")
 
     p = add_parser("simulate", help="run a scenario and emit its data products")
@@ -328,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--carrier", type=int, default=None, help="carrier mode K (default: all)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=Path, default=Path("out"), help="output root (default: ./out)")
     p.set_defaults(fn=_cmd_mi_scan)
 
     p = add_parser("attractor-check", help="long-run convergence verdict")

@@ -81,12 +81,6 @@ def _center(traj: Trajectory, cfg: LatticeConfig) -> np.ndarray:
     return traj.values.reshape(-1, cfg.N)[:, central_node_index(cfg)]
 
 
-def _center_density(traj: Trajectory, cfg: LatticeConfig) -> np.ndarray:
-    """Density |u|^2 of the central node (x = 0) at every sample."""
-    # abs(v) ** 2 per numpy scalar: np.abs(column) ** 2 differs in the last bit
-    return np.array([abs(v) ** 2 for v in _center(traj, cfg)])
-
-
 def write_density_csv(path: Path, traj: Trajectory, cfg: LatticeConfig) -> None:
     """Long-format density field: one row per (t, x) with |u|^2."""
     blocks = ((t, v.real**2 + v.imag**2) for t, v in zip(traj.times, traj.values))
@@ -110,8 +104,10 @@ def write_phase_plane_csv(path: Path, traj: Trajectory, cfg: LatticeConfig) -> N
 def write_center_density_csv(
     path: Path, traj: Trajectory, cfg: LatticeConfig, dps_ref: DpsParams | None = None
 ) -> None:
-    """Central-node density series, optionally with the rogue-profile reference."""
-    columns = [traj.times, _center_density(traj, cfg)]
+    """Central-node density series, optionally with the rogue-profile
+    reference; the density is the density product's at x = 0, bit for bit."""
+    center = _center(traj, cfg)
+    columns = [traj.times, center.real**2 + center.imag**2]
     header = ("t", "density")
     if dps_ref is not None:
         grid, idx = node_grid(cfg), central_node_index(cfg)

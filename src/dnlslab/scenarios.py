@@ -9,7 +9,7 @@ defaults for physics parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -277,15 +277,13 @@ def catalog() -> dict[str, ScenarioSpec]:
 # ---------------------------------------------------------------------------
 
 _IC_KINDS = {"planewave": PlaneWaveIC, "algebraic": AlgebraicBumpIC, "sech": SechBumpIC}
-_INTEGER_KEYS = frozenset({"N", "mode", "noise_seed"})
+# a file's lattice has the closure its first system runs under, so bc is no key
+_LATTICE_KEYS = tuple(f.name for f in fields(LatticeConfig) if f.init and f.name != "bc")
 # the keys of every file; the fields of its ``ic`` kind are its other keys
 _KEYS = frozenset({
-    "name", "systems", "ic", "variant", "outputs", "method",
-    "L", "N", "gamma", "delta",
-    "t_end", "dt", "rtol", "atol", "sample_every",
-    "dps_t0", "noise_amp", "noise_seed",
+    "name", "systems", "ic", "variant", "outputs", "dps_t0", "noise_amp", "noise_seed",
+    *_LATTICE_KEYS, *(f.name for f in fields(IntegratorSpec)),
 })
-_REQUIRED = object()
 
 
 def _parse_mapping(text: str) -> dict[str, str]:
@@ -308,22 +306,31 @@ def _parse_mapping(text: str) -> dict[str, str]:
     return mapping
 
 
-def _number(mapping: dict[str, str], key: str, default=_REQUIRED) -> float:
-    """The finite number under ``key`` (an int for the integer keys), or
-    ``default`` when the key is absent; without a default the key is required."""
-    if key not in mapping:
-        if default is _REQUIRED:
-            raise ParseError(f"missing required key {key!r}")
-        return default
-    raw = mapping[key]
-    parse, what = (int, "an integer") if key in _INTEGER_KEYS else (float, "a number")
-    try:
-        value = parse(raw)
-    except ValueError as exc:
-        raise ParseError(f"key {key!r}: not {what}: {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ParseError(f"key {key!r} must be finite, got {raw!r}")
-    return value
+def _settings(mapping: dict[str, str], kind: type, names=None) -> dict:
+    """The settings ``mapping`` gives for the init fields of the dataclass
+    ``kind`` (those among ``names``, if given); the dataclass's defaults stand
+    for the others, and a field without a default is a required key.
+    ``method`` parses as a ``Method``, an ``int`` field as an integer and any
+    other field as a finite number."""
+    values = {}
+    for f in fields(kind):
+        key, raw = f.name, mapping.get(f.name)
+        if not f.init or (names is not None and key not in names):
+            continue
+        if raw is None:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ParseError(f"missing required key {key!r}")
+        elif key == "method":
+            values[key] = _member(Method, key, raw)
+        else:
+            parse, what = (int, "an integer") if f.type in (int, "int") else (float, "a number")
+            try:
+                values[key] = parse(raw)
+            except ValueError as exc:
+                raise ParseError(f"key {key!r}: not {what}: {raw!r}") from exc
+            if not math.isfinite(values[key]):
+                raise ParseError(f"key {key!r} must be finite, got {raw!r}")
+    return values
 
 
 def _member(kind: type[Enum], key: str, raw: str):
@@ -351,37 +358,21 @@ def _scenario_from_mapping(mapping: dict[str, str], fallback_name: str) -> Scena
     outputs_raw = mapping.get("outputs", "densities")
     outputs = tuple(tok.strip() for tok in outputs_raw.split(",") if tok.strip())
 
-    def given(*keys: str) -> dict:
-        """The settings among ``keys`` that the file gives; the receiving
-        dataclass's own defaults stand for the others."""
-        return {key: _member(Method, key, mapping[key]) if key == "method"
-                else _number(mapping, key) for key in keys if key in mapping}
-
     try:
-        # the lattice has the closure its first system runs under
-        cfg = LatticeConfig(
-            L=_number(mapping, "L"),
-            N=_number(mapping, "N"),
-            gamma=_number(mapping, "gamma"),
-            delta=_number(mapping, "delta"),
-            bc=_CLOSURES[systems[0]],
-        )
+        cfg = LatticeConfig(**_settings(mapping, LatticeConfig, _LATTICE_KEYS),
+                            bc=_CLOSURES[systems[0]])
         variant = ScenarioVariant(mapping.get("variant", "main"),
-                                  ic_kind(**{key: _number(mapping, key) for key in ic_keys}),
-                                  dps_t0=_number(mapping, "dps_t0", None))
-        integrator = IntegratorSpec(
-            t_end=_number(mapping, "t_end"),
-            **given("method", "dt", "rtol", "atol", "sample_every"),
-        )
+                                  ic_kind(**_settings(mapping, ic_kind)),
+                                  **_settings(mapping, ScenarioVariant, ("dps_t0",)))
         return ScenarioSpec(
             name=mapping.get("name", fallback_name),
             description="user scenario",
             systems=systems,
             cfg=cfg,
             variants=(variant,),
-            integrator=integrator,
+            integrator=IntegratorSpec(**_settings(mapping, IntegratorSpec)),
             outputs=outputs,
-            **given("noise_amp", "noise_seed"),
+            **_settings(mapping, ScenarioSpec, ("noise_amp", "noise_seed")),
         )
     except ParseError:
         raise

@@ -128,6 +128,10 @@ class IntegratorSpec:
             raise ConfigError(
                 f"sample_every ({self.sample_every}) must be at least dt ({self.dt})"
             )
+        # below 2**53 every sample index is an exact float
+        if not self.t_end / self.sample_every < 2.0**53:
+            raise ConfigError(f"t_end / sample_every must be below 2**53, "
+                              f"got {self.t_end / self.sample_every:g}")
         if not isinstance(self.method, Method):
             raise ConfigError(f"method must be a Method, got {self.method!r}")
 

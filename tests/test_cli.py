@@ -2,17 +2,19 @@
 import gc
 import json
 import weakref
+from dataclasses import fields
+from enum import Enum
 
 import numpy as np
 import pytest
 
 from dnlslab import cli
 from dnlslab.cli import main
-from dnlslab.core import LatticeConfig
+from dnlslab.core import LatticeConfig, central_node_index
 from dnlslab.errors import StepFailure, ValidationError
 from dnlslab.products import write_density_csv
 from dnlslab.scenarios import load_scenario
-from dnlslab.timestep import Method, System, Trajectory
+from dnlslab.timestep import IntegratorSpec, Method, System, Trajectory
 
 
 def test_list_scenarios(capsys):
@@ -236,12 +238,18 @@ class TestSimulate:
          "systems = dnls, al, al\noutputs = densities, proximity\n", "repeated system: al"),
         ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
          "outputs = densities, densities\n", "repeated output: densities"),
+        # t_end / sample_every is inf, then 1e300: not every sample index is an exact float
+        ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+         "dt = 5e-324\nsample_every = 5e-324\n", "t_end / sample_every must be below 2**53"),
+        ("L = 50\nN = 100\nic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+         "dt = 1e-300\nsample_every = 1e-300\n", "t_end / sample_every must be below 2**53"),
     ], ids=["center_density_odd_N", "rogue_reference_h_2",
             "noise_seed_negative", "spacing_set", "planewave_background_set",
             "other_ic_kind_key", "rogue_background_set", "rogue_background_zero",
             "bc_periodic", "dnls_dirichlet", "al_dirichlet", "window_lo_set",
             "proximity_window_empty", "rogue_reference_odd_N", "mi_scan_output",
-            "system_repeated", "paired_system_repeated", "output_repeated"])
+            "system_repeated", "paired_system_repeated", "output_repeated",
+            "sample_ratio_inf", "sample_grid_too_large"])
     def test_scenario_precondition_rejected_at_load(
         self, tmp_path, capsys, monkeypatch, body, message
     ):
@@ -379,6 +387,53 @@ def test_every_catalog_scenario_runs_in_smoke_mode(tmp_path, name):
     assert gate["solvable"] == solvability_gate(
         gate["background"], params["gamma"], params["delta"]
     )
+
+
+def test_center_density_is_the_density_at_x_0(tmp_path):
+    assert main(["simulate", "--scenario", "fig11", "--out", str(tmp_path)]) == 0
+    spec = load_scenario("fig11")
+    idx = central_node_index(spec.cfg)
+    for variant in spec.variants:
+        tail = f"__dnls__{variant.label}.csv"
+        center = (tmp_path / "fig11" / f"center_density{tail}").read_text().splitlines()[1:]
+        field = (tmp_path / "fig11" / f"density{tail}").read_text().splitlines()[1:]
+        at_zero = field[idx::spec.cfg.N]
+        assert {row.split(",")[1] for row in at_zero} == {"0"}
+        # %.17g text: equal text is equal bits
+        assert [row.split(",")[1] for row in center] == [row.split(",")[2] for row in at_zero]
+
+
+# a value other than the default for each setting a scenario file gives of
+# the lattice (all but bc, which the first system sets) and the integrator
+FILE_SETTINGS = {
+    LatticeConfig: {"L": 25.0, "N": 50, "gamma": 1.25, "delta": -0.75},
+    IntegratorSpec: {"t_end": 0.5, "method": Method.RK4_FIXED, "dt": 0.004, "rtol": 1e-7,
+                     "atol": 1e-9, "sample_every": 0.25},
+}
+
+
+def test_every_setting_is_a_file_key_and_a_manifest_entry(tmp_path):
+    for kind, values in FILE_SETTINGS.items():
+        settable = [f for f in fields(kind) if f.init and f.name != "bc"]
+        assert sorted(values) == sorted(f.name for f in settable)
+        assert all(values[f.name] != f.default for f in settable)
+    cfgfile = tmp_path / "every.cfg"
+    cfgfile.write_text(
+        "ic = planewave\namplitude = 1\nperturbation = 0.5\nmode = 20\n"
+        + "".join(f"{key} = {value.value if isinstance(value, Method) else value}\n"
+                  for values in FILE_SETTINGS.values() for key, value in values.items()))
+    spec = load_scenario(cfgfile)
+    records = {LatticeConfig: ("parameters", spec.cfg),
+               IntegratorSpec: ("integrator", spec.integrator)}
+    for kind, values in FILE_SETTINGS.items():
+        assert {key: getattr(records[kind][1], key) for key in values} == values
+    assert main(["simulate", "--scenario", str(cfgfile), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "every" / "manifest.json").read_text())
+    for kind, (entry, settings) in records.items():
+        for f in fields(kind):
+            value = getattr(settings, f.name)
+            assert manifest[entry][f.name] == (value.value if isinstance(value, Enum)
+                                               else value)
 
 
 def test_fig12_emits_proximity(tmp_path):

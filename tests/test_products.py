@@ -141,7 +141,7 @@ def test_field_writers_match_the_rules(tmp_path, short_run):
                     for xn, d in zip(x, s.values.real**2 + s.values.imag**2)]
     spectrum_rows = [(f.t, k, m) for f in (spectrum(s, cfg) for s in traj.states)
                      for k, m in enumerate(np.abs(f.coeffs))]
-    center_rows = [(t, abs(s.values[idx]) ** 2,
+    center_rows = [(t, s.values[idx].real**2 + s.values[idx].imag**2,
                     abs(dps_eval(node_grid(cfg), float(t), ref).values[idx]) ** 2)
                    for t, s in zip(traj.times, traj.states)]
 

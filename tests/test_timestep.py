@@ -70,6 +70,12 @@ class TestIntegratorSpec:
         with pytest.raises(ConfigError):
             IntegratorSpec(t_end=1.0, dt=0.1, sample_every=0.05)
 
+    def test_sample_indices_are_exact_floats(self):
+        for t_end, every in ((1e308, 0.1), (1.0, 5e-324), (1.0, 1e-300), (2.0**53, 1.0)):
+            with pytest.raises(ConfigError, match=r"below 2\*\*53"):
+                IntegratorSpec(t_end=t_end, dt=min(every, 1e-3), sample_every=every)
+        IntegratorSpec(t_end=2.0**53 - 1, sample_every=1.0)
+
 
 class TestIntegrate:
     def test_zero_state_stays_zero(self, cfg):
